@@ -132,11 +132,7 @@ pub struct RecvFrame {
 impl RecvFrame {
     /// How many logical frames this buffer carries.
     pub fn frame_count(&self) -> usize {
-        let len = self.buf.len();
-        match self.seg_size as usize {
-            0 => 1,
-            s => len.div_ceil(s).max(1),
-        }
+        crate::session::gro_segments(&self.buf, self.seg_size).len()
     }
 }
 
@@ -194,7 +190,7 @@ impl PortableSocket {
     pub fn new(sock: UdpSocket) -> Self {
         PortableSocket {
             sock,
-            scratch: vec![0u8; crate::runtime::MAX_DATAGRAM],
+            scratch: vec![0u8; crate::session::MAX_DATAGRAM],
         }
     }
 }
@@ -271,7 +267,7 @@ impl MmsgSocket {
         MmsgSocket {
             sock,
             ready: Vec::new(),
-            scratch: vec![0u8; crate::runtime::MAX_DATAGRAM],
+            scratch: vec![0u8; crate::session::MAX_DATAGRAM],
             gso_ok: true,
         }
     }

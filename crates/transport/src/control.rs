@@ -34,6 +34,10 @@ use crate::hub::HubHandle;
 use std::fmt::Write as _;
 use std::net::SocketAddr;
 
+/// Longest `send` text accepted: with the SRM message header and the
+/// envelope around it, an ADU this size still fits one UDP datagram.
+pub const MAX_SEND_TEXT: usize = 65_000;
+
 /// A parsed JSON value (just enough of the grammar for the control plane).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Jv {
@@ -386,6 +390,11 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
                 Some(_) => return Err("`text` must be a string".into()),
                 None => return Err("missing field `text`".into()),
             };
+            if text.len() > MAX_SEND_TEXT {
+                return Err(format!(
+                    "`text` longer than {MAX_SEND_TEXT} bytes does not fit one datagram"
+                ));
+            }
             let count = opt_u64(&fields, "count")?.unwrap_or(1).clamp(1, 100_000) as u32;
             Ok(Command::Send { group, text, count })
         }
@@ -515,6 +524,12 @@ mod tests {
         assert_eq!(
             parse_command(r#"{"cmd":"send","group":1}"#).unwrap_err(),
             "missing field `text`"
+        );
+        let text = "x".repeat(MAX_SEND_TEXT + 1);
+        let long = format!(r#"{{"cmd":"send","group":1,"text":"{text}"}}"#);
+        assert_eq!(
+            parse_command(&long).unwrap_err(),
+            "`text` longer than 65000 bytes does not fit one datagram"
         );
     }
 

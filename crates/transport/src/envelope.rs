@@ -29,6 +29,8 @@ pub const MAGIC: [u8; 4] = *b"SRMT";
 pub const VERSION: u8 = 2;
 /// Fixed header length in bytes.
 pub const HEADER_LEN: usize = 22;
+/// Largest payload the u16 length field can declare.
+pub const MAX_PAYLOAD: usize = u16::MAX as usize;
 
 /// Network-layer metadata for one datagram, plus the encoded SRM message.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -114,8 +116,8 @@ impl Envelope {
     /// one scratch buffer per socket instead of allocating per datagram.
     ///
     /// # Panics
-    /// Panics if the payload exceeds the u16 length field; UDP datagrams
-    /// top out well below that, so a longer payload is a caller bug.
+    /// Panics if the payload exceeds [`MAX_PAYLOAD`]; the send path checks
+    /// that first and counts an oversized frame as a send error.
     pub fn encode_into<B: BufMut>(&self, b: &mut B) {
         let len = u16::try_from(self.payload.len()).expect("payload fits a UDP datagram");
         b.put_slice(&MAGIC);

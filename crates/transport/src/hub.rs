@@ -15,6 +15,10 @@
 //!     └──────send───┴──── every shard sends on a socket clone
 //! ```
 //!
+//! Each shard runs the node's reactor loop over many sessions, and the
+//! demux thread runs the node's supervised receive loop with a routing
+//! sink: both come from the one session core (`session.rs`).
+//!
 //! The demux thread reads only the envelope prefix
 //! ([`Envelope::precheck`]: magic, version, group id) and routes each
 //! frame to `shard_of(group)` — the full decode, and every protocol
@@ -27,50 +31,34 @@
 //! Control (create/join/send/drain/stats/stop) arrives as line-JSON via
 //! [`crate::control`]; per-group token buckets (§III-E) meter each
 //! session's send rate with refusals counted as `quota_overflow`. The
-//! frame-accounting invariant of the single-node runtime carries over
-//! hub-wide: `frames_attempted == frames_sent + send_errors`, because
+//! frame-accounting invariant is the node's, from the same counters:
+//! hub groups have no blackholes or loss policy, so it reads
+//! `frames_attempted == frames_sent + send_errors` hub-wide, because
 //! quota refusals (like chaos drops) happen before the fan-out.
 
-use crate::batch::{make_backend, BatchOptions, RecvFrame};
+use crate::batch::{BatchOptions, RecvFrame};
 use crate::clock::WallClock;
 use crate::control::GroupSpec;
 use crate::envelope::Envelope;
 use crate::pool::{BufferPool, PoolBuf};
-use crate::shard::{
-    run_shard, DrainOutcome, GroupStats, ShardCommand, ShardConfig, ShardEvent, ShardReply,
+use crate::session::{
+    bump, call, gro_segments, run_reactor, run_recv, Counters, Event, Field, Mirrors, RecvLoop, Tx,
+    MAX_DATAGRAM,
 };
-use crate::supervise::{run_supervised, ExitReason, StepOutcome, SupervisePolicy};
+use crate::shard::{DrainOutcome, GroupStats, Shard, ShardConfig};
+use crate::supervise::SupervisePolicy;
+use netsim::SimTime;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-/// Read timeout on the demux thread's socket, bounding shutdown latency.
-const RECV_POLL: Duration = Duration::from_millis(25);
 /// How long a control call waits for its shard's reply before declaring
 /// the shard wedged.
 const RPC_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Hub-wide frame accounting, shared by the demux thread and every shard.
-///
-/// The invariant from the single-node runtime holds across the whole hub:
-/// `frames_attempted == frames_sent + send_errors` once the shards are
-/// quiescent, regardless of quota pressure (refusals never reach the
-/// fan-out).
-#[derive(Default)]
-pub(crate) struct HubCounters {
-    pub frames_attempted: AtomicU64,
-    pub frames_sent: AtomicU64,
-    pub send_errors: AtomicU64,
-    pub rx_frames: AtomicU64,
-    pub rx_undecodable: AtomicU64,
-    pub rx_unjoined_group: AtomicU64,
-    pub inbound_overflow: AtomicU64,
-    pub demux_splits: AtomicU64,
-}
 
 /// Point-in-time rollup of the whole hub: per-group counters plus the
 /// shared frame accounting.
@@ -201,52 +189,26 @@ pub struct CreateOutcome {
 
 struct HubInner {
     addr: SocketAddr,
-    shard_tx: Vec<mpsc::SyncSender<ShardEvent>>,
-    counters: Arc<HubCounters>,
+    shard_tx: Vec<mpsc::SyncSender<Event<Shard>>>,
+    counters: Arc<Counters>,
     stop: Arc<AtomicBool>,
     threads: Mutex<Vec<thread::JoinHandle<()>>>,
     stopped: AtomicBool,
-    metrics: Option<HubReg>,
+    metrics: Option<Mirrors>,
 }
 
 /// Hub-level registry mirrors, refreshed on every `stats()` call (the
 /// hub has no central reactor loop to refresh them from).
-struct HubReg {
-    frames_attempted: obs::Counter,
-    frames_sent: obs::Counter,
-    send_errors: obs::Counter,
-    rx_frames: obs::Counter,
-    rx_undecodable: obs::Counter,
-    rx_unjoined: obs::Counter,
-    inbound_overflow: obs::Counter,
-    demux_splits: obs::Counter,
-}
-
-impl HubReg {
-    fn new(reg: &obs::MetricsRegistry) -> Self {
-        HubReg {
-            frames_attempted: reg.counter("hub.frames_attempted"),
-            frames_sent: reg.counter("hub.frames_sent"),
-            send_errors: reg.counter("hub.send_errors"),
-            rx_frames: reg.counter("hub.rx_frames"),
-            rx_undecodable: reg.counter("hub.rx_undecodable"),
-            rx_unjoined: reg.counter("hub.rx_unjoined_group"),
-            inbound_overflow: reg.counter("hub.inbound_overflow"),
-            demux_splits: reg.counter("hub.demux_splits"),
-        }
-    }
-
-    fn refresh(&self, c: &HubCounters) {
-        self.frames_attempted.set_total(c.frames_attempted.load(Ordering::Relaxed));
-        self.frames_sent.set_total(c.frames_sent.load(Ordering::Relaxed));
-        self.send_errors.set_total(c.send_errors.load(Ordering::Relaxed));
-        self.rx_frames.set_total(c.rx_frames.load(Ordering::Relaxed));
-        self.rx_undecodable.set_total(c.rx_undecodable.load(Ordering::Relaxed));
-        self.rx_unjoined.set_total(c.rx_unjoined_group.load(Ordering::Relaxed));
-        self.inbound_overflow.set_total(c.inbound_overflow.load(Ordering::Relaxed));
-        self.demux_splits.set_total(c.demux_splits.load(Ordering::Relaxed));
-    }
-}
+const HUB_MIRRORS: [(&str, Field); 8] = [
+    ("hub.frames_attempted", |c| &c.frames_attempted),
+    ("hub.frames_sent", |c| &c.frames_sent),
+    ("hub.send_errors", |c| &c.send_errors),
+    ("hub.rx_frames", |c| &c.frames_received),
+    ("hub.rx_undecodable", |c| &c.decode_errors),
+    ("hub.rx_unjoined_group", |c| &c.rx_unjoined_group),
+    ("hub.inbound_overflow", |c| &c.inbound_overflow),
+    ("hub.demux_splits", |c| &c.demux_splits),
+];
 
 /// Spawner for hub runtimes.
 pub struct Hub;
@@ -265,52 +227,65 @@ impl Hub {
         crate::batch::configure_socket_buffers(&socket, opts.batch.socket_bufs);
 
         let shards = opts.shards.max(1);
-        let counters = Arc::new(HubCounters::default());
+        let counters = Arc::new(Counters::default());
         let clock = WallClock::new();
         let stop = Arc::new(AtomicBool::new(false));
         let mut shard_tx = Vec::with_capacity(shards);
         let mut threads = Vec::with_capacity(shards + 1);
 
         for index in 0..shards {
-            let (tx, rx) = mpsc::sync_channel::<ShardEvent>(opts.batch.inbound_capacity.max(1));
-            shard_tx.push(tx);
-            let send = make_backend(socket.try_clone()?, &opts.batch);
-            let cfg = ShardConfig {
+            let (chan, rx) = mpsc::sync_channel::<Event<Shard>>(opts.batch.inbound_capacity.max(1));
+            shard_tx.push(chan);
+            // Each shard sends on its own clone of the shared socket.
+            let name = format!("srm-hub[shard {index}]");
+            let (sock, send_sock) = (socket.try_clone()?, socket.try_clone()?);
+            let (clock, counters) = (clock.clone(), Arc::clone(&counters));
+            let mut shard = Shard::new(ShardConfig {
                 index,
                 seed: opts.seed,
-                clock: clock.clone(),
-                batch: opts.batch,
                 metrics: opts.metrics.clone(),
                 store_root: opts.store_root.clone(),
-                counters: Arc::clone(&counters),
+            });
+            let batch = opts.batch;
+            let run = move || {
+                if batch.batch_sched {
+                    crate::batch::enter_batch_scheduling();
+                }
+                let mut tx = Tx::new(sock, send_sock, &batch, clock, counters, None, name);
+                run_reactor(&mut shard, &mut tx, &rx, batch.inbound_drain, None);
+                // Shutdown: every still-hosted group drains gracefully.
+                shard.drain_all(&mut tx);
             };
-            threads.push(
-                thread::Builder::new()
-                    .name(format!("srm-hub-shard{index}"))
-                    .spawn(move || run_shard(cfg, send, rx))?,
-            );
+            threads.push(thread::Builder::new().name(format!("srm-hub-shard{index}")).spawn(run)?);
         }
 
-        let demux_txs = shard_tx.clone();
-        let demux_counters = Arc::clone(&counters);
-        let demux_stop = Arc::clone(&stop);
-        let demux_clock = clock;
-        let policy = opts.supervision;
-        let batch = opts.batch;
+        let (policy, batch, recv_stop, recv_counters) =
+            (opts.supervision, opts.batch, Arc::clone(&stop), Arc::clone(&counters));
+        let (demux_txs, demux_counters) = (shard_tx.clone(), Arc::clone(&counters));
+        let sink = move |at, f| {
+            route_frame(at, f, &demux_txs, &demux_counters);
+            true
+        };
         threads.push(
             thread::Builder::new()
                 .name("srm-hub-demux".to_string())
                 .spawn(move || {
-                    run_demux_supervised(
-                        &policy,
-                        socket,
-                        addr,
+                    // The receive pool is allocated on the thread that fills
+                    // it: built on the spawning thread instead, it cost
+                    // `srmbench hub_flood` about 12% of its throughput.
+                    let recv = RecvLoop {
+                        policy,
+                        local: addr,
                         batch,
-                        demux_clock,
-                        demux_txs,
-                        demux_counters,
-                        demux_stop,
-                    )
+                        pool: BufferPool::new(batch.pool_slabs, MAX_DATAGRAM),
+                        histo: None,
+                        stop: recv_stop,
+                        counters: recv_counters,
+                        clock,
+                        name: "srm-hub".to_string(),
+                        socket,
+                    };
+                    run_recv(recv, sink, |_, _| {})
                 })?,
         );
 
@@ -322,7 +297,7 @@ impl Hub {
                 stop,
                 threads: Mutex::new(threads),
                 stopped: AtomicBool::new(false),
-                metrics: opts.metrics.as_ref().map(HubReg::new),
+                metrics: opts.metrics.as_ref().map(|r| Mirrors::new(r, &HUB_MIRRORS)),
             }),
         })
     }
@@ -346,16 +321,15 @@ impl HubHandle {
         self.inner.shard_tx.len()
     }
 
-    fn rpc(
+    /// Run `f` on a shard's reactor thread and wait for its result.
+    fn on_shard<R: Send + 'static>(
         &self,
         shard: usize,
-        build: impl FnOnce(mpsc::SyncSender<ShardReply>) -> ShardCommand,
-    ) -> Result<ShardReply, String> {
-        let (tx, rx) = mpsc::sync_channel(1);
-        self.inner.shard_tx[shard]
-            .send(ShardEvent::Command(build(tx)))
-            .map_err(|_| format!("shard {shard} is down"))?;
-        rx.recv_timeout(RPC_TIMEOUT)
+        f: impl FnOnce(&mut Shard, &mut Tx) -> R + Send + 'static,
+    ) -> Result<R, String> {
+        call(&self.inner.shard_tx[shard], f)
+            .ok_or_else(|| format!("shard {shard} is down"))?
+            .recv_timeout(RPC_TIMEOUT)
             .map_err(|_| format!("shard {shard} did not reply"))
     }
 
@@ -363,59 +337,48 @@ impl HubHandle {
     /// semantics: a duplicate reports `already:true` instead of an error.
     pub fn create(&self, spec: GroupSpec, idempotent: bool) -> Result<CreateOutcome, String> {
         let shard = shard_of(spec.group, self.shards());
-        match self.rpc(shard, |reply| ShardCommand::Create { spec, idempotent, reply })? {
-            ShardReply::Created { already } => Ok(CreateOutcome { shard, already }),
-            ShardReply::Err(e) => Err(e),
-            _ => Err("unexpected shard reply".into()),
-        }
+        let already = self.on_shard(shard, move |sh, tx| sh.create(tx, spec, idempotent))??;
+        Ok(CreateOutcome { shard, already })
     }
 
     /// Publish `count` ADUs of `text` on `group`'s page 0; returns the
     /// last ADU's name.
     pub fn send(&self, group: u32, text: &str, count: u32) -> Result<String, String> {
-        let shard = shard_of(group, self.shards());
         let text = text.to_string();
-        match self.rpc(shard, |reply| ShardCommand::Send { group, text, count, reply })? {
-            ShardReply::Sent { last } => Ok(last),
-            ShardReply::Err(e) => Err(e),
-            _ => Err("unexpected shard reply".into()),
-        }
+        let shard = shard_of(group, self.shards());
+        self.on_shard(shard, move |sh, tx| sh.send(tx, group, &text, count))?
     }
 
     /// Gracefully drain one group: final session message, WAL flush,
     /// detach.
     pub fn drain(&self, group: u32) -> Result<DrainOutcome, String> {
-        let shard = shard_of(group, self.shards());
-        match self.rpc(shard, |reply| ShardCommand::Drain { group, reply })? {
-            ShardReply::Drained(out) => Ok(out),
-            ShardReply::Err(e) => Err(e),
-            _ => Err("unexpected shard reply".into()),
-        }
+        self.on_shard(shard_of(group, self.shards()), move |sh, tx| sh.drain(tx, group))?
     }
 
     /// Drain every hosted group on every shard (the hub keeps running).
     pub fn drain_all(&self) -> DrainOutcome {
         let mut total = DrainOutcome::default();
         for shard in 0..self.shards() {
-            if let Ok(ShardReply::Drained(one)) =
-                self.rpc(shard, |reply| ShardCommand::DrainAll { reply })
-            {
-                total.groups += one.groups;
-                total.data_sent += one.data_sent;
-                total.delivered += one.delivered;
+            if let Ok(one) = self.on_shard(shard, |sh, tx| sh.drain_all(tx)) {
+                total.merge(one);
             }
         }
         total
     }
 
     /// Roll up per-group counters from every shard plus the hub-shared
-    /// frame accounting. Groups come back sorted by id.
+    /// frame accounting. Groups come back sorted by id. Each shard flushes
+    /// its send queue first, so every frame attempted before the call is
+    /// settled and `frames_attempted == frames_sent + send_errors` holds
+    /// in the snapshot.
     pub fn stats(&self) -> HubStats {
         let mut groups = Vec::new();
         for shard in 0..self.shards() {
-            if let Ok(ShardReply::Stats(mut s)) =
-                self.rpc(shard, |reply| ShardCommand::Stats { reply })
-            {
+            let settled = |sh: &mut Shard, tx: &mut Tx| {
+                tx.flush();
+                sh.stats()
+            };
+            if let Ok(mut s) = self.on_shard(shard, settled) {
                 groups.append(&mut s);
             }
         }
@@ -429,8 +392,8 @@ impl HubHandle {
             frames_attempted: c.frames_attempted.load(Ordering::Relaxed),
             frames_sent: c.frames_sent.load(Ordering::Relaxed),
             send_errors: c.send_errors.load(Ordering::Relaxed),
-            rx_frames: c.rx_frames.load(Ordering::Relaxed),
-            rx_undecodable: c.rx_undecodable.load(Ordering::Relaxed),
+            rx_frames: c.frames_received.load(Ordering::Relaxed),
+            rx_undecodable: c.decode_errors.load(Ordering::Relaxed),
             rx_unjoined_group: c.rx_unjoined_group.load(Ordering::Relaxed),
             inbound_overflow: c.inbound_overflow.load(Ordering::Relaxed),
             demux_splits: c.demux_splits.load(Ordering::Relaxed),
@@ -445,7 +408,7 @@ impl HubHandle {
         }
         self.inner.stop.store(true, Ordering::SeqCst);
         for tx in &self.inner.shard_tx {
-            let _ = tx.send(ShardEvent::Shutdown);
+            let _ = tx.send(Event::Shutdown);
         }
         let mut threads = self.inner.threads.lock().unwrap_or_else(|e| e.into_inner());
         for t in threads.drain(..) {
@@ -460,186 +423,57 @@ impl Drop for HubInner {
         // rather than leaking them, but don't block on joins in drop.
         self.stop.store(true, Ordering::SeqCst);
         for tx in &self.shard_tx {
-            let _ = tx.try_send(ShardEvent::Shutdown);
+            let _ = tx.try_send(Event::Shutdown);
         }
     }
 }
 
-/// The supervised demux loop: drain a batch from the shared socket,
-/// precheck each buffer's leading frame(s) for the routing group id, and
-/// move the pooled buffer — zero-copy — down the owning shard's channel.
-/// Poll timeouts are heartbeats (checking the stop flag); everything else
-/// goes through the classify/backoff/respawn state machine.
-#[allow(clippy::too_many_arguments)]
-fn run_demux_supervised(
-    policy: &SupervisePolicy,
-    master: UdpSocket,
-    local: SocketAddr,
-    batch: BatchOptions,
-    clock: WallClock,
-    shard_tx: Vec<mpsc::SyncSender<ShardEvent>>,
-    counters: Arc<HubCounters>,
-    stop: Arc<AtomicBool>,
-) {
-    let pool = BufferPool::new(batch.pool_slabs, crate::runtime::MAX_DATAGRAM);
-    if batch.batch_sched {
-        crate::batch::enter_batch_scheduling();
-    }
-    let reason = run_supervised(
-        policy,
-        |attempt| {
-            let sock = if attempt == 0 {
-                master.try_clone()?
-            } else {
-                // Respawn: prefer a clone of the original descriptor, fall
-                // back to a fresh bind of the same address.
-                master.try_clone().or_else(|_| UdpSocket::bind(local))?
-            };
-            sock.set_read_timeout(Some(RECV_POLL))?;
-            let mut backend = make_backend(sock, &batch);
-            let shard_tx = shard_tx.clone();
-            let counters = Arc::clone(&counters);
-            let stop = Arc::clone(&stop);
-            let clock = clock.clone();
-            let pool = pool.clone();
-            let mut bufs: Vec<RecvFrame> = Vec::new();
-            Ok(move || -> io::Result<StepOutcome> {
-                if stop.load(Ordering::Relaxed) {
-                    return Ok(StepOutcome::Stop);
-                }
-                bufs.clear();
-                match backend.recv_batch(&pool, batch.recv_batch, &mut bufs) {
-                    Ok(_) => {}
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        // Heartbeat: nothing arrived within the poll
-                        // window; loop to re-check the stop flag.
-                        return Ok(StepOutcome::Continue);
-                    }
-                    Err(e) => return Err(e),
-                }
-                let at = clock.now();
-                for f in bufs.drain(..) {
-                    route_frame(at, f, &shard_tx, &counters);
-                }
-                Ok(StepOutcome::Continue)
-            })
-        },
-        |_event| {},
-        |backoff| {
-            // Interruptible backoff, keeping shutdown latency bounded.
-            let mut left = backoff;
-            while !stop.load(Ordering::Relaxed) && left > Duration::ZERO {
-                let chunk = left.min(RECV_POLL);
-                thread::sleep(chunk);
-                left = left.saturating_sub(chunk);
-            }
-        },
-    );
-    if matches!(reason, ExitReason::Exhausted { .. }) {
-        eprintln!("srm-hub: demux thread died: {}", reason.label());
-    }
-}
-
-/// Route one received buffer. Fast path: every segment prechecks to the
-/// same shard (always true for plain datagrams), so the whole pooled
-/// buffer moves zero-copy. Slow path: a GRO buffer straddling shards is
-/// split per segment (counted in `demux_splits`).
+/// Route one received buffer by its frames' envelope prefixes
+/// ([`Envelope::precheck`]). Fast path: every frame prechecks to the same
+/// shard (always true for a plain datagram), so the whole pooled buffer
+/// moves zero-copy. Slow path: a GRO buffer whose frames straddle shards,
+/// or carry a bad frame among good ones, is split with per-frame copies
+/// (counted in `demux_splits`) so the good frames survive and each bad one
+/// is counted exactly once.
 fn route_frame(
-    at: netsim::SimTime,
+    at: SimTime,
     f: RecvFrame,
-    shard_tx: &[mpsc::SyncSender<ShardEvent>],
-    counters: &HubCounters,
+    shard_tx: &[mpsc::SyncSender<Event<Shard>>],
+    counters: &Counters,
 ) {
     let shards = shard_tx.len();
-    let data: &[u8] = &f.buf;
-    let stride = match f.seg_size as usize {
-        0 => data.len().max(1),
-        s => s,
+    let shard_for = |chunk: &[u8]| Envelope::precheck(chunk).map(|g| shard_of(g, shards));
+    // Shed on a full channel, count, keep draining the socket: SRM repairs
+    // the gap exactly as it would wire loss.
+    let deliver = |shard: usize, ev: Event<Shard>, frames: u64| {
+        if let Err(mpsc::TrySendError::Full(_)) = shard_tx[shard].try_send(ev) {
+            bump(&counters.inbound_overflow, frames);
+        }
     };
-
-    // First pass over the segment prefixes only: where does each go?
-    let mut target: Option<usize> = None;
-    let mut uniform = true;
-    let mut any_ok = false;
-    let mut off = 0;
-    while off < data.len() {
-        let chunk = &data[off..(off + stride).min(data.len())];
-        off += stride;
-        match Envelope::precheck(chunk) {
-            Ok(group) => {
-                any_ok = true;
-                let s = shard_of(group, shards);
-                match target {
-                    None => target = Some(s),
-                    Some(t) if t == s => {}
-                    Some(_) => uniform = false,
-                }
-            }
-            Err(_) => {
-                // A bad segment inside an otherwise-routable buffer still
-                // forces the split path so the good segments survive and
-                // the bad one is counted exactly once, here.
-                if f.seg_size != 0 && data.len() > stride {
-                    uniform = false;
-                } else {
-                    counters.rx_undecodable.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            }
+    let (mut target, mut uniform, mut bad) = (None, true, 0u64);
+    for chunk in gro_segments(&f.buf, f.seg_size) {
+        match shard_for(chunk) {
+            Ok(s) => uniform &= *target.get_or_insert(s) == s,
+            Err(_) => bad += 1,
         }
     }
-
-    if !any_ok {
-        // Multi-segment buffer where nothing prechecks: count each
-        // segment and drop the lot.
-        let n = data.len().div_ceil(stride).max(1) as u64;
-        counters.rx_undecodable.fetch_add(n, Ordering::Relaxed);
-        return;
-    }
-
-    if uniform {
-        let shard = target.unwrap_or(0);
-        let frames = f.frame_count() as u64;
-        match shard_tx[shard].try_send(ShardEvent::Datagram(at, f.seg_size, f.buf)) {
-            Ok(()) => {}
-            Err(mpsc::TrySendError::Full(_)) => {
-                // Shed, count, keep draining the socket: SRM repairs the
-                // gap exactly as it would wire loss. A shed coalesced
-                // buffer loses every frame it carried.
-                counters.inbound_overflow.fetch_add(frames, Ordering::Relaxed);
-            }
-            Err(mpsc::TrySendError::Disconnected(_)) => {}
+    match target {
+        // Nothing prechecks: count every frame and drop the lot.
+        None => bump(&counters.decode_errors, bad),
+        Some(shard) if uniform && bad == 0 => {
+            let frames = f.frame_count() as u64;
+            deliver(shard, Event::Datagram(at, f), frames);
         }
-        return;
-    }
-
-    // Split path: per-segment copies, one datagram event each.
-    counters.demux_splits.fetch_add(1, Ordering::Relaxed);
-    let mut off = 0;
-    while off < data.len() {
-        let chunk = &data[off..(off + stride).min(data.len())];
-        off += stride;
-        match Envelope::precheck(chunk) {
-            Ok(group) => {
-                let shard = shard_of(group, shards);
-                match shard_tx[shard].try_send(ShardEvent::Datagram(
-                    at,
-                    0,
-                    PoolBuf::copied_from(chunk),
-                )) {
-                    Ok(()) | Err(mpsc::TrySendError::Disconnected(_)) => {}
-                    Err(mpsc::TrySendError::Full(_)) => {
-                        counters.inbound_overflow.fetch_add(1, Ordering::Relaxed);
+        Some(_) => {
+            bump(&counters.demux_splits, 1);
+            for chunk in gro_segments(&f.buf, f.seg_size) {
+                match shard_for(chunk) {
+                    Ok(s) => {
+                        let buf = PoolBuf::copied_from(chunk);
+                        deliver(s, Event::Datagram(at, RecvFrame { buf, seg_size: 0 }), 1);
                     }
+                    Err(_) => bump(&counters.decode_errors, 1),
                 }
-            }
-            Err(_) => {
-                counters.rx_undecodable.fetch_add(1, Ordering::Relaxed);
             }
         }
     }

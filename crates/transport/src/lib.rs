@@ -14,16 +14,22 @@
 //! - [`Envelope`]: the datagram frame carrying the simulator packet
 //!   metadata (source, TTL, scope, flow) around the untouched
 //!   [`srm::wire`] message encoding.
-//! - [`Node`] / [`NodeHandle`]: a thread-per-socket reactor per member —
-//!   receive thread feeding a channel, main loop interleaving datagrams
-//!   with [`TimerWheel`] deadlines.
+//! - `session.rs`: the one session core both hosts run — a `Session`
+//!   (agent, timer wheel, seeded RNG, send filters, the single
+//!   [`srm::Driver`] implementation), its send half, the GRO frame walker,
+//!   the reactor loop and the supervised receive loop.
+//! - [`Node`] / [`NodeHandle`]: one session on its own socket — receive
+//!   thread feeding a channel, reactor interleaving datagrams with
+//!   [`TimerWheel`] deadlines.
+//! - [`Hub`] / [`HubHandle`]: many sessions behind one shared socket,
+//!   demuxed by group id to shard reactors running the same core.
 //! - [`Mode`]: real IP multicast (`join_multicast_v4`) or a unicast
 //!   loopback mesh (the CI-friendly stand-in for group delivery).
 //! - [`LossPolicy`]: deterministic send-side loss for recovery tests.
 //! - [`Harness`]: in-process multi-node loopback sessions.
 //!
 //! The `srm-node` binary wraps all of this in a CLI (`join` / `send`,
-//! `--trace FILE` for obs JSONL timelines).
+//! `--trace FILE` for obs JSONL timelines); `srm-hub` wraps the hub.
 //!
 //! ## Example: two members on loopback
 //!
@@ -57,6 +63,7 @@ pub mod hub;
 pub mod monitor;
 pub mod pool;
 pub mod runtime;
+mod session;
 pub mod shard;
 pub mod soak;
 pub mod supervise;

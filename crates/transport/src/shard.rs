@@ -1,54 +1,36 @@
-//! One hub shard: a reactor thread hosting many SRM agents.
+//! One hub shard: a reactor thread hosting many SRM sessions.
 //!
-//! Where [`crate::runtime`] dedicates a whole reactor (and socket) to one
-//! agent, a shard multiplexes every group that hashes to it over the hub's
-//! *shared* socket: the hub's demux thread routes decoded frames here by
-//! group id, and the shard walks them into the right agent. Each hosted
-//! group keeps exactly the state a standalone node's reactor would give
-//! it — its own [`TimerWheel`], its own seeded RNG (derived from the hub
-//! seed and the group id, so runs replay per group), its own optional
+//! Where a node's reactor hosts one session on its own socket, a shard
+//! hosts every group that hashes to it over the hub's *shared* socket: the
+//! hub's demux thread routes received buffers here by group id, and the
+//! shared reactor loop walks each frame into the right session. A shard is
+//! a map from group id to `Session` — the same session core a node runs,
+//! with its own timer wheel, its own seeded RNG (derived from the hub seed
+//! and the group id, so runs replay per group) and its own optional
 //! durable store directory — which is why a hub-hosted group behaves
 //! byte-for-byte like a single-group `srm-node` (the equivalence test in
 //! `tests/hub.rs` pins this).
 //!
-//! The paper's light-weight sessions (§I) are cheap precisely because all
-//! per-session state is this small: an agent, a wheel, an RNG, a peer
-//! list, and an optional token bucket.
+//! Control calls (create, send, drain, stats) reach a shard as closures run
+//! on its reactor thread, the way `NodeHandle::exec` reaches a node.
 //!
 //! Send-side quota: each group may carry a [`TokenBucket`] (§III-E). A
 //! refused frame is dropped *before* the fan-out and tallied as
-//! `quota_overflow` — exactly where chaos drops sit in the single-node
-//! runtime — so the shard's frame-accounting invariant
-//! (`frames_attempted == frames_sent + send_errors`) is untouched by
-//! quota pressure.
+//! `quota_overflow`, so the frame-accounting invariant
+//! (`frames_attempted == frames_sent + send_errors` on a hub) is untouched
+//! by quota pressure.
 
-use crate::batch::{BatchOptions, BatchSocket, SendFrame};
-use crate::clock::WallClock;
 use crate::control::GroupSpec;
-use crate::envelope::{Envelope, HEADER_LEN};
-use crate::hub::HubCounters;
-use crate::pool::{BufferPool, PoolBuf};
-use crate::wheel::TimerWheel;
+use crate::envelope::EnvelopeView;
+use crate::runtime::Mode;
+use crate::session::{Host, Quota, Session, Tx};
 use bytes::Bytes;
-use netsim::{GroupId, NodeId, Packet, PacketBody, PacketId, SendOptions, SimDuration, SimTime, TimerId};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use netsim::{GroupId, SimDuration};
 use srm::rate::TokenBucket;
-use srm::{Clock, Driver, PageId, RateLimit, SourceId, SrmAgent, SrmConfig, Transport};
+use srm::{PageId, RateLimit, SourceId, SrmAgent, SrmConfig};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::io;
-use std::net::SocketAddr;
-use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
-
-/// Initial size of a shard's send-side encode slabs (grown slabs recycle
-/// at their new size, as in the single-node runtime).
-const TX_SLAB_BYTES: usize = 2048;
-
-/// Shard idle wait when no timer is armed; channel events wake it sooner.
-const IDLE_WAIT: Duration = Duration::from_millis(250);
+use std::path::PathBuf;
 
 /// Per-group counters snapshot, the unit of the hub's `stats` rollup.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -87,57 +69,24 @@ pub struct DrainOutcome {
     pub delivered: u64,
 }
 
-/// A control command routed to one shard, with its reply channel.
-pub(crate) enum ShardCommand {
-    /// Host a group (`idempotent` = `join` semantics on duplicates).
-    Create { spec: GroupSpec, idempotent: bool, reply: mpsc::SyncSender<ShardReply> },
-    /// Publish `count` ADUs of `text` on the group's page 0.
-    Send { group: u32, text: String, count: u32, reply: mpsc::SyncSender<ShardReply> },
-    /// Drain one group.
-    Drain { group: u32, reply: mpsc::SyncSender<ShardReply> },
-    /// Drain every hosted group (the shard keeps running).
-    DrainAll { reply: mpsc::SyncSender<ShardReply> },
-    /// Per-group counters for the rollup.
-    Stats { reply: mpsc::SyncSender<ShardReply> },
+impl DrainOutcome {
+    pub(crate) fn merge(&mut self, o: DrainOutcome) {
+        self.groups += o.groups;
+        self.data_sent += o.data_sent;
+        self.delivered += o.delivered;
+    }
 }
 
-/// A shard's answer to a [`ShardCommand`].
-pub(crate) enum ShardReply {
-    Created { already: bool },
-    Sent { last: String },
-    Drained(DrainOutcome),
-    Stats(Vec<GroupStats>),
-    Err(String),
-}
-
-/// Work items a shard waits on.
-pub(crate) enum ShardEvent {
-    /// A routed frame: capture time, GRO segment size, pooled buffer.
-    /// The buffer may hold several coalesced frames; the shard walks them
-    /// at the segment stride exactly like the single-node reactor.
-    Datagram(SimTime, u32, PoolBuf),
-    /// A control command.
-    Command(ShardCommand),
-    /// Drain everything and exit.
-    Shutdown,
-}
-
-/// Everything a shard thread is born with.
+/// Everything a shard is born with.
 pub(crate) struct ShardConfig {
     /// This shard's index (stable for the hub's lifetime).
     pub index: usize,
     /// Hub-level seed; per-group RNGs derive from it.
     pub seed: u64,
-    /// The hub's shared clock.
-    pub clock: WallClock,
-    /// Batch tuning (send batch size, pool slabs, drain window).
-    pub batch: BatchOptions,
     /// Live metrics registry (per-group labeled counters land here).
     pub metrics: Option<obs::MetricsRegistry>,
     /// Durable store root: group `g` logs under `<root>/<g>/`.
-    pub store_root: Option<std::path::PathBuf>,
-    /// Hub-shared counters (frame accounting, unjoined drops).
-    pub counters: Arc<HubCounters>,
+    pub store_root: Option<PathBuf>,
 }
 
 /// Per-group registry handles, resolved once at create.
@@ -159,172 +108,189 @@ impl GroupReg {
     }
 }
 
-/// One hosted group: an agent plus the session-local state a standalone
-/// reactor would own.
-struct GroupRt {
-    /// The member id the agent runs as, as it appears in envelopes.
-    src: u32,
+/// One hosted group: its session plus what the hub reports about it.
+struct Hosted {
+    session: Session,
     members: usize,
-    agent: SrmAgent,
-    wheel: TimerWheel,
-    rng: StdRng,
-    peers: Vec<SocketAddr>,
-    quota: Option<TokenBucket>,
-    quota_overflow: u64,
-    tx_frames: u64,
-    rx_frames: u64,
-    rx_seq: u64,
-    delivered: u64,
     reg: Option<GroupReg>,
 }
 
-/// The shard's send half: one batched sender over the hub's shared
-/// socket, with pooled encode slabs and a per-wakeup flush queue shared
-/// by every hosted group.
-struct ShardOut {
-    batch: Box<dyn BatchSocket>,
-    tx_pool: BufferPool,
-    queue: Vec<(SocketAddr, Arc<PoolBuf>)>,
-    results: Vec<io::Result<()>>,
-    max_batch: usize,
-    counters: Arc<HubCounters>,
-}
+impl Hosted {
+    fn stats(&self, gid: u32, shard: usize) -> GroupStats {
+        let s = &self.session;
+        GroupStats {
+            group: gid,
+            shard,
+            members: self.members,
+            rx_frames: s.rx_frames,
+            tx_frames: s.core.tx_frames,
+            delivered: s.delivered.unwrap_or(0),
+            data_sent: s.agent.metrics.data_sent,
+            repairs_sent: s.agent.metrics.repairs_sent,
+            session_sent: s.agent.metrics.session_sent,
+            quota_overflow: s.quota.as_ref().map_or(0, |q| q.refused),
+        }
+    }
 
-impl ShardOut {
-    /// Push every queued frame out in batched syscalls, settling
-    /// `frames_sent`/`send_errors` per destination.
-    fn flush(&mut self) {
-        if self.queue.is_empty() {
-            return;
+    /// Graceful drain: a final session message (so peers learn our last
+    /// state before the silence), flush of anything it queued, then a WAL
+    /// flush — the store directory survives for the next `create`.
+    fn drain(mut self, tx: &mut Tx) -> DrainOutcome {
+        let s = &mut self.session;
+        s.drive(tx, |a, d| a.send_session_now(d));
+        tx.flush();
+        s.agent.flush_store();
+        DrainOutcome {
+            groups: 1,
+            data_sent: s.agent.metrics.data_sent,
+            delivered: s.delivered.unwrap_or(0),
         }
-        let queue = std::mem::take(&mut self.queue);
-        for chunk in queue.chunks(self.max_batch.max(1)) {
-            let frames: Vec<SendFrame<'_>> = chunk
-                .iter()
-                .map(|(dest, data)| SendFrame { dest: *dest, data })
-                .collect();
-            self.results.clear();
-            self.batch.send_batch(&frames, &mut self.results);
-            for r in self.results.iter() {
-                match r {
-                    Ok(()) => {
-                        self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(_) => {
-                        self.counters.send_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        self.queue = queue;
-        self.queue.clear();
     }
 }
 
-/// The per-group [`Driver`]: the same seam [`crate::runtime`]'s `RtDriver`
-/// implements, borrowing this group's wheel/RNG/quota and the shard's
-/// shared send half.
-struct HubDriver<'a> {
-    clock: &'a WallClock,
-    wheel: &'a mut TimerWheel,
-    rng: &'a mut StdRng,
-    out: &'a mut ShardOut,
-    peers: &'a [SocketAddr],
-    src: u32,
-    quota: &'a mut Option<TokenBucket>,
-    quota_overflow: &'a mut u64,
-    tx_frames: &'a mut u64,
+/// The groups one shard hosts, keyed by group id.
+pub(crate) struct Shard {
+    cfg: ShardConfig,
+    groups: BTreeMap<u32, Hosted>,
+    /// `hub.shard{i}.groups` and `hub.shard{i}.wheel_depth`.
+    gauges: Option<(obs::Gauge, obs::Gauge)>,
 }
 
-impl Clock for HubDriver<'_> {
-    fn now(&self) -> SimTime {
-        self.clock.now()
-    }
-
-    fn local_now(&self) -> SimTime {
-        self.clock.local_now()
-    }
-}
-
-impl Transport for HubDriver<'_> {
-    fn multicast(&mut self, group: GroupId, payload: Bytes, opts: SendOptions) {
-        if opts.ttl == 0 {
-            return;
-        }
-        let now = self.clock.now();
-        // Quota gate, charged at wire size (§III-E: the sender's token
-        // bucket enforces the session's advertised peak rate). A refusal
-        // drops the frame *before* the fan-out, so `frames_attempted`
-        // never sees it — same accounting slot as a chaos drop.
-        if let Some(tb) = self.quota.as_mut() {
-            let wire_len = (HEADER_LEN + payload.len()) as f64;
-            if !tb.try_consume(now, wire_len) {
-                *self.quota_overflow += 1;
-                return;
-            }
-        }
-        *self.tx_frames += 1;
-        let mut buf = self.out.tx_pool.try_take().unwrap_or_else(|| {
-            self.out.tx_pool.note_miss();
-            PoolBuf::copied_from(&[])
+impl Shard {
+    pub(crate) fn new(cfg: ShardConfig) -> Shard {
+        let gauges = cfg.metrics.as_ref().map(|r| {
+            (
+                r.gauge(&format!("hub.shard{}.groups", cfg.index)),
+                r.gauge(&format!("hub.shard{}.wheel_depth", cfg.index)),
+            )
         });
-        Envelope {
-            src: self.src,
-            group: group.0,
-            ttl: opts.ttl,
-            initial_ttl: opts.ttl,
-            admin_scoped: opts.admin_scoped,
-            flow: opts.flow,
-            payload,
+        Shard { cfg, groups: BTreeMap::new(), gauges }
+    }
+
+    /// Host a group (`idempotent` = `join` semantics on duplicates);
+    /// `Ok(true)` if it was already hosted.
+    pub(crate) fn create(
+        &mut self,
+        tx: &mut Tx,
+        spec: GroupSpec,
+        idempotent: bool,
+    ) -> Result<bool, String> {
+        let slot = match self.groups.entry(spec.group) {
+            Entry::Occupied(_) if idempotent => return Ok(true),
+            Entry::Occupied(_) => return Err(format!("group {} already exists", spec.group)),
+            Entry::Vacant(slot) => slot,
+        };
+        let mut agent = SrmAgent::new(
+            SourceId(spec.id),
+            GroupId(spec.group),
+            SrmConfig::fixed(spec.members.max(1)),
+        );
+        agent.session_enabled = true;
+        if let Some(ms) = spec.dist_ms {
+            let d = SimDuration::from_millis(ms);
+            for m in (1..=spec.members as u64).filter(|&m| m != spec.id) {
+                agent.distances_mut().set_distance(SourceId(m), d);
+            }
         }
-        .encode_into(&mut buf);
-        let wire = Arc::new(buf);
-        for &p in self.peers {
-            self.out.counters.frames_attempted.fetch_add(1, Ordering::Relaxed);
-            self.out.queue.push((p, Arc::clone(&wire)));
+        let seed = group_seed(self.cfg.seed, spec.group);
+        let mut session = Session::new(agent, spec.id, seed, Mode::Mesh { peers: spec.peers });
+        session.delivered = Some(0);
+        session.quota = spec.rate.map(|rate| Quota {
+            bucket: TokenBucket::new(RateLimit {
+                bytes_per_sec: rate,
+                burst_bytes: spec.burst.unwrap_or(2.0 * rate),
+            }),
+            refused: 0,
+        });
+        if let Some(root) = &self.cfg.store_root {
+            let dir = root.join(spec.group.to_string());
+            session.attach_store(
+                tx,
+                &dir,
+                srm_store::StoreConfig::default(),
+                None,
+                self.cfg.metrics.as_ref(),
+            );
         }
+        session.drive(tx, |a, d| a.drive_start(d));
+        let reg = self.cfg.metrics.as_ref().map(|r| GroupReg::new(r, spec.group));
+        slot.insert(Hosted { session, members: spec.members, reg });
+        Ok(false)
     }
 
-    fn join(&mut self, group: GroupId) {
-        // Mesh semantics: the fan-out list already reaches every member,
-        // and inbound routing is the hub's hosted-group map. A join is
-        // therefore a no-op, exactly like `Mode::Mesh` in the runtime.
-        let _ = group;
+    /// Publish `count` ADUs of `text` on the group's page 0; returns the
+    /// last ADU's name.
+    pub(crate) fn send(
+        &mut self,
+        tx: &mut Tx,
+        group: u32,
+        text: &str,
+        count: u32,
+    ) -> Result<String, String> {
+        let s = &mut self
+            .groups
+            .get_mut(&group)
+            .ok_or_else(|| format!("group {group} not hosted"))?
+            .session;
+        let page = PageId::new(SourceId(u64::from(s.core.src)), 0);
+        let mut last = String::new();
+        for i in 0..count {
+            let body = if count == 1 { text.to_string() } else { format!("{text} #{i}") };
+            last = s.drive(tx, |a, d| a.send_data(d, page, Bytes::from(body))).to_string();
+        }
+        Ok(last)
     }
 
-    fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
-        self.wheel.arm(self.clock.now() + delay, token)
+    /// Drain and detach one group.
+    pub(crate) fn drain(&mut self, tx: &mut Tx, group: u32) -> Result<DrainOutcome, String> {
+        let hosted =
+            self.groups.remove(&group).ok_or_else(|| format!("group {group} not hosted"))?;
+        Ok(hosted.drain(tx))
     }
 
-    fn cancel_timer(&mut self, id: TimerId) {
-        self.wheel.cancel(id);
+    /// Drain every hosted group (the shard keeps running).
+    pub(crate) fn drain_all(&mut self, tx: &mut Tx) -> DrainOutcome {
+        let mut total = DrainOutcome::default();
+        for (_, hosted) in std::mem::take(&mut self.groups) {
+            total.merge(hosted.drain(tx));
+        }
+        total
     }
 
-    fn rng(&mut self) -> &mut StdRng {
-        self.rng
+    /// Per-group counters for the hub's rollup.
+    pub(crate) fn stats(&self) -> Vec<GroupStats> {
+        self.groups.iter().map(|(&gid, h)| h.stats(gid, self.cfg.index)).collect()
     }
 }
 
-/// Run `f` against one group's agent behind a freshly-borrowed driver.
-fn drive<R>(
-    clock: &WallClock,
-    out: &mut ShardOut,
-    grt: &mut GroupRt,
-    f: impl FnOnce(&mut SrmAgent, &mut dyn Driver) -> R,
-) -> R {
-    let GroupRt { src, agent, wheel, rng, peers, quota, quota_overflow, tx_frames, .. } = grt;
-    let mut d = HubDriver {
-        clock,
-        wheel,
-        rng,
-        out,
-        peers,
-        src: *src,
-        quota,
-        quota_overflow,
-        tx_frames,
-    };
-    f(agent, &mut d)
+impl Host for Shard {
+    fn route(&mut self, env: &EnvelopeView<'_>) -> Option<&mut Session> {
+        self.groups.get_mut(&env.group).map(|h| &mut h.session)
+    }
+
+    fn sessions(&mut self) -> impl Iterator<Item = &mut Session> {
+        self.groups.values_mut().map(|h| &mut h.session)
+    }
+
+    /// Refresh per-group registry mirrors and shard-level gauges.
+    fn publish(&mut self, _tx: &Tx) {
+        let Some((g_groups, g_wheel)) = &self.gauges else {
+            return;
+        };
+        let mut wheel_total = 0u64;
+        for (&gid, h) in &self.groups {
+            wheel_total += h.session.core.wheel.len() as u64;
+            if let Some(r) = &h.reg {
+                let st = h.stats(gid, self.cfg.index);
+                r.rx_frames.set_total(st.rx_frames);
+                r.tx_frames.set_total(st.tx_frames);
+                r.delivered.set_total(st.delivered);
+                r.quota_overflow.set_total(st.quota_overflow);
+            }
+        }
+        g_groups.set(self.groups.len() as u64);
+        g_wheel.set(wheel_total);
+    }
 }
 
 /// Derive one group's RNG seed from the hub seed: a splitmix-style mix so
@@ -335,341 +301,4 @@ pub fn group_seed(hub_seed: u64, group: u32) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-fn create_group(cfg: &ShardConfig, spec: &GroupSpec) -> GroupRt {
-    let srm_cfg = SrmConfig::fixed(spec.members.max(1));
-    let mut agent = SrmAgent::new(SourceId(spec.id), GroupId(spec.group), srm_cfg);
-    agent.session_enabled = true;
-    if let Some(ms) = spec.dist_ms {
-        let d = SimDuration::from_millis(ms);
-        for m in 1..=spec.members as u64 {
-            if m != spec.id {
-                agent.distances_mut().set_distance(SourceId(m), d);
-            }
-        }
-    }
-    if let Some(root) = &cfg.store_root {
-        let dir = root.join(spec.group.to_string());
-        match srm_store::DirBackend::open(&dir) {
-            Ok(backend) => {
-                let mut ds =
-                    srm_store::DurableStore::new(Box::new(backend), srm_store::StoreConfig::default());
-                if let Some(r) = cfg.metrics.as_ref() {
-                    ds.set_probes(srm_store::StoreProbes::from_registry(r));
-                }
-                let summary = agent.attach_durable_store(Box::new(ds), None);
-                if !summary.names.is_empty() {
-                    eprintln!(
-                        "srm-hub[shard {}]: group {} rehydrated {} ADUs from {}",
-                        cfg.index,
-                        spec.group,
-                        summary.names.len(),
-                        dir.display()
-                    );
-                }
-            }
-            Err(e) => eprintln!(
-                "srm-hub[shard {}]: group {} could not open store {}: {e} (running without durability)",
-                cfg.index,
-                spec.group,
-                dir.display()
-            ),
-        }
-    }
-    let quota = spec.rate.map(|rate| {
-        TokenBucket::new(RateLimit {
-            bytes_per_sec: rate,
-            burst_bytes: spec.burst.unwrap_or(2.0 * rate),
-        })
-    });
-    GroupRt {
-        src: u32::try_from(spec.id).unwrap_or(u32::MAX),
-        members: spec.members,
-        agent,
-        wheel: TimerWheel::new(),
-        rng: StdRng::seed_from_u64(group_seed(cfg.seed, spec.group)),
-        peers: spec.peers.clone(),
-        quota,
-        quota_overflow: 0,
-        tx_frames: 0,
-        rx_frames: 0,
-        rx_seq: 0,
-        delivered: 0,
-        reg: cfg.metrics.as_ref().map(|r| GroupReg::new(r, spec.group)),
-    }
-}
-
-fn group_stats(index: usize, gid: u32, grt: &GroupRt) -> GroupStats {
-    GroupStats {
-        group: gid,
-        shard: index,
-        members: grt.members,
-        rx_frames: grt.rx_frames,
-        tx_frames: grt.tx_frames,
-        delivered: grt.delivered,
-        data_sent: grt.agent.metrics.data_sent,
-        repairs_sent: grt.agent.metrics.repairs_sent,
-        session_sent: grt.agent.metrics.session_sent,
-        quota_overflow: grt.quota_overflow,
-    }
-}
-
-/// Graceful drain of one group: a final session message (so peers learn
-/// our last state before the silence), flush of anything it queued, then
-/// a WAL flush — the store directory survives for the next `create`.
-fn drain_group(clock: &WallClock, out: &mut ShardOut, mut grt: GroupRt) -> DrainOutcome {
-    drive(clock, out, &mut grt, |a, d| a.send_session_now(d));
-    grt.delivered += grt.agent.take_delivered().len() as u64;
-    out.flush();
-    grt.agent.flush_store();
-    DrainOutcome {
-        groups: 1,
-        data_sent: grt.agent.metrics.data_sent,
-        delivered: grt.delivered,
-    }
-}
-
-/// The shard reactor: fire due timers per group, flush batched sends,
-/// then drain a window of routed frames and control commands. `send` is a
-/// batched backend over a clone of the hub's shared socket descriptor.
-pub(crate) fn run_shard(
-    cfg: ShardConfig,
-    send: Box<dyn BatchSocket>,
-    rx: mpsc::Receiver<ShardEvent>,
-) {
-    if cfg.batch.batch_sched {
-        crate::batch::enter_batch_scheduling();
-    }
-    let mut out = ShardOut {
-        batch: send,
-        tx_pool: BufferPool::new(cfg.batch.pool_slabs, TX_SLAB_BYTES),
-        queue: Vec::new(),
-        results: Vec::new(),
-        max_batch: cfg.batch.send_batch.clamp(1, crate::batch::MAX_BATCH),
-        counters: Arc::clone(&cfg.counters),
-    };
-    let mut groups: BTreeMap<u32, GroupRt> = BTreeMap::new();
-    let mut unjoined_count = 0u64;
-    let inbound_drain = cfg.batch.inbound_drain.max(1);
-    let shard_gauges = cfg.metrics.as_ref().map(|r| {
-        (
-            r.gauge(&format!("hub.shard{}.groups", cfg.index)),
-            r.gauge(&format!("hub.shard{}.wheel_depth", cfg.index)),
-        )
-    });
-
-    // Handle one event; true means shutdown.
-    let handle = |ev: ShardEvent,
-                  groups: &mut BTreeMap<u32, GroupRt>,
-                  out: &mut ShardOut,
-                  unjoined_count: &mut u64|
-     -> bool {
-        match ev {
-            ShardEvent::Datagram(_at, seg, buf) => {
-                let data: &[u8] = &buf;
-                let stride = match seg as usize {
-                    0 => data.len().max(1),
-                    s => s,
-                };
-                let mut off = 0;
-                loop {
-                    let chunk = &data[off..(off + stride).min(data.len())];
-                    off += stride;
-                    let last = off >= data.len();
-                    'frame: {
-                        let env = match Envelope::decode_view(chunk) {
-                            Ok(env) => env,
-                            Err(_) => {
-                                // Passed the demux precheck but fails the
-                                // full decode (e.g. a length mismatch):
-                                // same counted fate it would meet on a
-                                // standalone node.
-                                cfg.counters.rx_undecodable.fetch_add(1, Ordering::Relaxed);
-                                break 'frame;
-                            }
-                        };
-                        let Some(grt) = groups.get_mut(&env.group) else {
-                            cfg.counters.rx_unjoined_group.fetch_add(1, Ordering::Relaxed);
-                            *unjoined_count += 1;
-                            if *unjoined_count <= 5 || unjoined_count.is_multiple_of(1024) {
-                                eprintln!(
-                                    "srm-hub[shard {}]: dropping frame from {} for unhosted group {} ({} total) — \
-                                     create the group here or fix the sender",
-                                    cfg.index, env.src, env.group, unjoined_count
-                                );
-                            }
-                            break 'frame;
-                        };
-                        if env.src == grt.src || env.ttl == 0 {
-                            break 'frame;
-                        }
-                        grt.rx_frames += 1;
-                        cfg.counters.rx_frames.fetch_add(1, Ordering::Relaxed);
-                        grt.rx_seq += 1;
-                        let pkt = Packet::new(
-                            env.ttl.saturating_sub(1),
-                            PacketBody {
-                                id: PacketId(grt.rx_seq),
-                                src: NodeId(env.src),
-                                group: GroupId(env.group),
-                                dest: None,
-                                initial_ttl: env.initial_ttl,
-                                admin_scoped: env.admin_scoped,
-                                flow: env.flow,
-                                size: chunk.len() as u32,
-                                payload: Bytes::copy_from_slice(env.payload),
-                            },
-                        );
-                        drive(&cfg.clock, out, grt, |a, d| a.drive_packet(d, &pkt));
-                        grt.delivered += grt.agent.take_delivered().len() as u64;
-                    }
-                    if last {
-                        break;
-                    }
-                }
-                false
-            }
-            ShardEvent::Command(cmd) => {
-                match cmd {
-                    ShardCommand::Create { spec, idempotent, reply } => {
-                        let r = match groups.entry(spec.group) {
-                            Entry::Occupied(_) if idempotent => {
-                                ShardReply::Created { already: true }
-                            }
-                            Entry::Occupied(_) => {
-                                ShardReply::Err(format!("group {} already exists", spec.group))
-                            }
-                            Entry::Vacant(slot) => {
-                                let mut grt = create_group(&cfg, &spec);
-                                drive(&cfg.clock, out, &mut grt, |a, d| a.drive_start(d));
-                                slot.insert(grt);
-                                ShardReply::Created { already: false }
-                            }
-                        };
-                        let _ = reply.send(r);
-                    }
-                    ShardCommand::Send { group, text, count, reply } => {
-                        let r = match groups.get_mut(&group) {
-                            None => ShardReply::Err(format!("group {group} not hosted")),
-                            Some(grt) => {
-                                let page = PageId::new(SourceId(u64::from(grt.src)), 0);
-                                let mut last = String::new();
-                                for i in 0..count {
-                                    let body = if count == 1 {
-                                        text.clone()
-                                    } else {
-                                        format!("{text} #{i}")
-                                    };
-                                    let name = drive(&cfg.clock, out, grt, |a, d| {
-                                        a.send_data(d, page, Bytes::from(body.into_bytes()))
-                                    });
-                                    last = name.to_string();
-                                }
-                                ShardReply::Sent { last }
-                            }
-                        };
-                        let _ = reply.send(r);
-                    }
-                    ShardCommand::Drain { group, reply } => {
-                        let r = match groups.remove(&group) {
-                            None => ShardReply::Err(format!("group {group} not hosted")),
-                            Some(grt) => ShardReply::Drained(drain_group(&cfg.clock, out, grt)),
-                        };
-                        let _ = reply.send(r);
-                    }
-                    ShardCommand::DrainAll { reply } => {
-                        let mut total = DrainOutcome::default();
-                        let drained = std::mem::take(groups);
-                        for (_gid, grt) in drained {
-                            let one = drain_group(&cfg.clock, out, grt);
-                            total.groups += one.groups;
-                            total.data_sent += one.data_sent;
-                            total.delivered += one.delivered;
-                        }
-                        let _ = reply.send(ShardReply::Drained(total));
-                    }
-                    ShardCommand::Stats { reply } => {
-                        let stats = groups
-                            .iter()
-                            .map(|(&gid, grt)| group_stats(cfg.index, gid, grt))
-                            .collect();
-                        let _ = reply.send(ShardReply::Stats(stats));
-                    }
-                }
-                false
-            }
-            ShardEvent::Shutdown => true,
-        }
-    };
-
-    'shard: loop {
-        for grt in groups.values_mut() {
-            while let Some(token) = grt.wheel.pop_expired(cfg.clock.now()) {
-                drive(&cfg.clock, &mut out, grt, |a, d| a.drive_timer(d, token));
-            }
-            grt.delivered += grt.agent.take_delivered().len() as u64;
-        }
-        out.flush();
-        publish(&cfg, &groups, shard_gauges.as_ref());
-        let deadline = groups.values_mut().filter_map(|g| g.wheel.next_deadline()).min();
-        let wait = match deadline {
-            Some(at) => cfg.clock.until(at).min(IDLE_WAIT),
-            None => IDLE_WAIT,
-        };
-        match rx.recv_timeout(wait) {
-            Ok(ev) => {
-                if handle(ev, &mut groups, &mut out, &mut unjoined_count) {
-                    break 'shard;
-                }
-                let mut drained = 1usize;
-                while drained < inbound_drain {
-                    if out.queue.len() >= out.max_batch {
-                        out.flush();
-                    }
-                    match rx.try_recv() {
-                        Ok(ev) => {
-                            drained += 1;
-                            if handle(ev, &mut groups, &mut out, &mut unjoined_count) {
-                                break 'shard;
-                            }
-                        }
-                        Err(_) => break,
-                    }
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => break 'shard,
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-        }
-    }
-    // Shutdown: every still-hosted group drains gracefully.
-    for (_gid, grt) in std::mem::take(&mut groups) {
-        drain_group(&cfg.clock, &mut out, grt);
-    }
-    out.flush();
-}
-
-/// Refresh per-group registry mirrors and shard-level gauges.
-fn publish(
-    cfg: &ShardConfig,
-    groups: &BTreeMap<u32, GroupRt>,
-    gauges: Option<&(obs::Gauge, obs::Gauge)>,
-) {
-    if cfg.metrics.is_none() {
-        return;
-    }
-    let mut wheel_total = 0u64;
-    for grt in groups.values() {
-        wheel_total += grt.wheel.len() as u64;
-        if let Some(r) = &grt.reg {
-            r.rx_frames.set_total(grt.rx_frames);
-            r.tx_frames.set_total(grt.tx_frames);
-            r.delivered.set_total(grt.delivered);
-            r.quota_overflow.set_total(grt.quota_overflow);
-        }
-    }
-    if let Some((g_groups, g_wheel)) = gauges {
-        g_groups.set(groups.len() as u64);
-        g_wheel.set(wheel_total);
-    }
 }

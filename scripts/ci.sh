@@ -147,6 +147,17 @@ done
 grep -q '"ok":true,"cmd":"stop"' target/ci_hub_ctrl.out \
     || { echo "srm-hub smoke: hub never acked stop" >&2; exit 1; }
 
+echo "== benchmark smoke (each srmbench workload, 1 s traced run, outputs checked) =="
+# srmbench builds itself from source; its last stdout line is the JSON
+# result, whose `correct` flag checks every workload's outputs.
+for w in sim_fig4_mix node_flood node_paced_loss hub_flood; do
+    last=$(bash srmbench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 1 | tail -n 1)
+    case "$last" in
+        *'"correct": true'*) ;;
+        *) echo "benchmark smoke: $w did not report correct: $last" >&2; exit 1 ;;
+    esac
+done
+
 echo "== clippy (workspace, warnings are errors) =="
 cargo clippy --workspace -- -D warnings
 

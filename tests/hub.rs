@@ -376,3 +376,46 @@ fn node_counts_well_formed_frames_for_unjoined_groups() {
     assert!(seen >= 1, "unjoined-group frames must be counted");
     drop(node.shutdown());
 }
+
+/// A `send` whose text cannot fit one envelope is refused up front, and
+/// the shard hosting the group keeps serving its other groups: the group
+/// sharing that shard still delivers afterwards.
+#[test]
+fn oversized_send_is_refused_and_the_shard_keeps_serving() {
+    let hub = Hub::spawn(
+        "127.0.0.1:0".parse().unwrap(),
+        HubOptions {
+            shards: 2,
+            ..HubOptions::default()
+        },
+    )
+    .unwrap();
+    // Two groups that hash to the same shard.
+    let a = 1u32;
+    let b = (2u32..).find(|&g| shard_of(g, 2) == shard_of(a, 2)).unwrap();
+    let rx_a = spawn_receiver(2, a, 2, hub.local_addr());
+    let rx_b = spawn_receiver(2, b, 2, hub.local_addr());
+    for (g, rx) in [(a, &rx_a), (b, &rx_b)] {
+        hub.create(spec(g, vec![rx.local_addr()], 1, 2), false).unwrap();
+    }
+
+    let huge = format!(
+        r#"{{"cmd":"send","group":{a},"text":"{}"}}"#,
+        "x".repeat(70_000)
+    );
+    let reply = handle_line(&hub, &huge);
+    assert!(reply.starts_with(r#"{"ok":false,"error":"#), "{reply}");
+    assert!(reply.contains("does not fit one datagram"), "{reply}");
+
+    let ok = handle_line(&hub, &format!(r#"{{"cmd":"send","group":{b},"text":"still here"}}"#));
+    assert!(ok.starts_with(r#"{"ok":true,"cmd":"send""#), "{ok}");
+    let got = collect_delivered(&rx_b, 1, Instant::now() + Duration::from_secs(10));
+    assert_eq!(got, vec![b"still here".to_vec()], "shard-mate group must still deliver");
+    // The hub-side send path never panicked, so it still answers.
+    let st = hub.stats();
+    assert_eq!(st.groups.len(), 2, "both groups still hosted: {st:?}");
+    assert_eq!(st.frames_attempted, st.frames_sent + st.send_errors, "{st:?}");
+    hub.shutdown();
+    drop(rx_a.shutdown());
+    drop(rx_b.shutdown());
+}

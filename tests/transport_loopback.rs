@@ -181,3 +181,27 @@ fn three_node_loss_repaired_by_non_source() {
     let jsonl = tl.to_jsonl();
     assert!(jsonl.contains("\"ev\":\"repair_sent\""));
 }
+
+/// A payload too large for one envelope is refused on the send path, not
+/// a reactor-killing panic: the node keeps answering, the refusal is a
+/// counted send error, and the frame accounting still balances.
+#[test]
+fn oversized_send_is_a_counted_error_not_a_panic() {
+    use srm_transport::{Mode, Node, NodeOptions};
+    let peer: std::net::SocketAddr = "127.0.0.1:9".parse().unwrap();
+    let opts = NodeOptions::new(SourceId(1), GroupId(1), SrmConfig::fixed(2));
+    let node = Node::spawn("127.0.0.1:0".parse().unwrap(), Mode::Mesh { peers: vec![peer] }, opts)
+        .expect("node binds");
+    let before = node.stats().send_errors;
+    node.send_data(PageId::new(SourceId(1), 0), Bytes::from(vec![b'x'; 70_000]));
+    assert!(node.ping(Duration::from_secs(5)), "reactor must survive an oversized send");
+    let st = node.stats();
+    assert!(st.send_errors > before, "the refusal is counted: {st:?}");
+    // Frames queued by the same wakeup settle at its flush.
+    assert!(
+        wait_for(5, || node.stats().frames_accounted()),
+        "attempted == sent + dropped + blackholed + send_errors: {:?}",
+        node.stats()
+    );
+    drop(node.shutdown());
+}
