@@ -33,7 +33,8 @@
 //! capture → reactor dequeue, and agent handling) from the live
 //! [`obs::MetricsRegistry`] histograms.
 //!
-//! Subcommands (mirroring `scale`):
+//! Subcommands (the report harness shared with `scale`, in the
+//! `srm_bench` library):
 //!
 //! ```text
 //! live run      [--quick] [--best N] [--out FILE] [--merge-baseline FILE] [--label S] [--portable]
@@ -52,8 +53,9 @@
 
 use bytes::Bytes;
 use netsim::{GroupId, SimDuration};
+use obs::json::Json;
 use srm::{PageId, SourceId, SrmConfig};
-use srm_sim::json::Json;
+use srm_bench::{round, Bench, Better, Tool};
 use srm_transport::{
     parse_spec, BatchOptions, GroupSpec, Harness, Hub, HubOptions, Mode, Node, NodeOptions,
 };
@@ -441,21 +443,6 @@ fn fanout_pairs8(quick: bool, portable: bool) -> BenchResult {
     }
 }
 
-/// Best-of-`reps` on *throughput*: load spikes only ever push pps down,
-/// so the maximum over repetitions is the robust estimator (quantiles ride
-/// along from the winning repetition).
-fn measure_best(reps: usize, quick: bool, portable: bool) -> Vec<BenchResult> {
-    let mut best = measure(quick, portable);
-    for _ in 1..reps.max(1) {
-        for (b, g) in best.iter_mut().zip(measure(quick, portable)) {
-            if g.pps > b.pps {
-                *b = g;
-            }
-        }
-    }
-    best
-}
-
 fn measure(quick: bool, portable: bool) -> Vec<BenchResult> {
     let mut out = Vec::new();
     for (name, f) in [
@@ -500,256 +487,55 @@ fn measure(quick: bool, portable: bool) -> Vec<BenchResult> {
     out
 }
 
-fn round1(x: f64) -> f64 {
-    (x * 10.0).round() / 10.0
-}
-
-fn round3(x: f64) -> f64 {
-    (x * 1e3).round() / 1e3
-}
-
-fn benches_to_json(benches: &[BenchResult]) -> Json {
-    Json::Arr(
-        benches
-            .iter()
-            .map(|b| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(b.name.into())),
-                    ("packets".into(), Json::Num(b.packets as f64)),
-                    ("secs".into(), Json::Num(round3(b.secs))),
-                    ("pps".into(), Json::Num(round1(b.pps))),
-                    ("queue_p50_us".into(), Json::Num(round1(b.queue_p50_us))),
-                    ("queue_p99_us".into(), Json::Num(round1(b.queue_p99_us))),
-                    ("handle_p50_us".into(), Json::Num(round1(b.handle_p50_us))),
-                    ("handle_p99_us".into(), Json::Num(round1(b.handle_p99_us))),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn report(benches: &[BenchResult], quick: bool, label: &str, baseline: Option<Json>) -> Json {
-    let mut fields = vec![
-        ("schema".into(), Json::Str("srm-livebench/1".into())),
-        ("label".into(), Json::Str(label.into())),
-        ("quick".into(), Json::Bool(quick)),
-        ("benches".into(), benches_to_json(benches)),
-    ];
-    if let Some(b) = baseline {
-        fields.push(("baseline_pre_pr".into(), b));
+impl Bench for BenchResult {
+    fn name(&self) -> &str {
+        self.name
     }
-    Json::Obj(fields)
-}
 
-/// Pull a baseline section out of an existing report: prefer its explicit
-/// `baseline_pre_pr`, else treat its own `benches` as the baseline (the
-/// first report written before the optimisation is exactly that).
-fn extract_baseline(path: &str) -> Option<Json> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let doc = Json::parse(&text).ok()?;
-    if let Some(b) = doc.get("baseline_pre_pr") {
-        return Some(b.clone());
+    fn value(&self) -> f64 {
+        self.pps
     }
-    doc.get("benches").cloned()
-}
 
-fn check(against: &str, tolerance: f64, quick: bool) -> i32 {
-    let text = match std::fs::read_to_string(against) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("live check: cannot read {against}: {e}");
-            return 1;
-        }
-    };
-    let doc = match Json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("live check: {against} is not valid JSON: {e}");
-            return 1;
-        }
-    };
-    if doc.get("schema").and_then(Json::as_str) != Some("srm-livebench/1") {
-        eprintln!("live check: {against} missing schema srm-livebench/1");
-        return 1;
-    }
-    let Some(pinned) = doc.get("benches").and_then(Json::as_arr) else {
-        eprintln!("live check: {against} has no benches array");
-        return 1;
-    };
-    // Best-of-5 on *throughput*: load spikes only ever push pps down, so
-    // the maximum over repetitions is the robust estimator — a regression
-    // fires only if every repetition is slow.
-    let fresh = measure_best(5, quick, false);
-    let mut failed = false;
-    for f in &fresh {
-        let Some(pin) = pinned
-            .iter()
-            .find(|p| p.get("name").and_then(Json::as_str) == Some(f.name))
-        else {
-            eprintln!("live check: {} not pinned in {against} (skipping)", f.name);
-            continue;
-        };
-        let Some(pin_pps) = pin.get("pps").and_then(Json::as_f64) else {
-            eprintln!("live check: pinned {} has no pps", f.name);
-            failed = true;
-            continue;
-        };
-        let ratio = pin_pps / f.pps;
-        if ratio > tolerance {
-            eprintln!(
-                "live check: REGRESSION {}: {:.0} pkts/s vs pinned {:.0} ({:.2}x slower > {}x budget)",
-                f.name, f.pps, pin_pps, ratio, tolerance
-            );
-            failed = true;
-        } else {
-            eprintln!(
-                "live check: ok {}: {:.0} pkts/s vs pinned {:.0} ({:.2}x)",
-                f.name, f.pps, pin_pps, ratio
-            );
-        }
-    }
-    if failed {
-        1
-    } else {
-        eprintln!("live check: all benchmarks within {tolerance}x of {against}");
-        0
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("name".into(), Json::Str(self.name.into())),
+            ("packets".into(), Json::Num(self.packets as f64)),
+            ("secs".into(), Json::Num(round(self.secs, 3))),
+            ("pps".into(), Json::Num(round(self.pps, 1))),
+            ("queue_p50_us".into(), Json::Num(round(self.queue_p50_us, 1))),
+            ("queue_p99_us".into(), Json::Num(round(self.queue_p99_us, 1))),
+            ("handle_p50_us".into(), Json::Num(round(self.handle_p50_us, 1))),
+            ("handle_p99_us".into(), Json::Num(round(self.handle_p99_us, 1))),
+        ])
     }
 }
 
-/// Structural validation of a report file: schema tag, non-empty benches,
-/// and every entry carrying the fields `check` would need. No measuring.
-fn validate(path: &str) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("live validate: cannot read {path}: {e}");
-            return 1;
-        }
-    };
-    let doc = match Json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("live validate: {path} is not valid JSON: {e}");
-            return 1;
-        }
-    };
-    if doc.get("schema").and_then(Json::as_str) != Some("srm-livebench/1") {
-        eprintln!("live validate: {path} missing schema srm-livebench/1");
-        return 1;
-    }
-    let Some(benches) = doc.get("benches").and_then(Json::as_arr) else {
-        eprintln!("live validate: {path} has no benches array");
-        return 1;
-    };
-    if benches.is_empty() {
-        eprintln!("live validate: {path} benches array is empty");
-        return 1;
-    }
-    for b in benches {
-        let name = b.get("name").and_then(Json::as_str);
-        if name.is_none()
-            || b.get("pps").and_then(Json::as_f64).is_none()
-            || b.get("packets").and_then(Json::as_f64).is_none()
-            || b.get("secs").and_then(Json::as_f64).is_none()
-        {
-            eprintln!(
-                "live validate: {path}: bench entry {:?} missing name/packets/secs/pps",
-                name.unwrap_or("<unnamed>")
-            );
-            return 1;
-        }
-    }
-    eprintln!("live validate: {path} ok ({} benches)", benches.len());
-    0
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  live run [--quick] [--best N] [--out FILE] [--merge-baseline FILE] [--label S] [--portable]\n  live check --against FILE [--tolerance R] [--quick]\n  live validate FILE"
-    );
-    std::process::exit(2);
-}
+const TOOL: Tool = Tool {
+    name: "live",
+    schema: "srm-livebench/1",
+    metric: "pps",
+    better: Better::Higher,
+    required: &["packets", "secs", "pps"],
+    usage: "  live run [--quick] [--best N] [--out FILE] [--merge-baseline FILE] [--label S] [--portable]\n  live check --against FILE [--tolerance R] [--quick]\n  live validate FILE",
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first().map(String::as_str) else {
-        usage();
-    };
-    let mut quick = false;
-    let mut portable = false;
-    let mut out: Option<String> = None;
-    let mut merge: Option<String> = None;
-    let mut against: Option<String> = None;
-    let mut label = String::from("working-tree");
-    let mut tolerance = 1.25f64;
-    let mut best = 1usize;
-    let mut file: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--portable" => portable = true,
-            "--best" => {
-                i += 1;
-                best = args
-                    .get(i)
-                    .unwrap_or_else(|| usage())
-                    .parse()
-                    .unwrap_or_else(|_| usage());
-            }
-            "--out" => {
-                i += 1;
-                out = Some(args.get(i).unwrap_or_else(|| usage()).clone());
-            }
-            "--merge-baseline" => {
-                i += 1;
-                merge = Some(args.get(i).unwrap_or_else(|| usage()).clone());
-            }
-            "--against" => {
-                i += 1;
-                against = Some(args.get(i).unwrap_or_else(|| usage()).clone());
-            }
-            "--label" => {
-                i += 1;
-                label = args.get(i).unwrap_or_else(|| usage()).clone();
-            }
-            "--tolerance" => {
-                i += 1;
-                tolerance = args
-                    .get(i)
-                    .unwrap_or_else(|| usage())
-                    .parse()
-                    .unwrap_or_else(|_| usage());
-            }
-            a if !a.starts_with('-') && cmd == "validate" && file.is_none() => {
-                file = Some(a.to_string());
-            }
-            _ => usage(),
+    let (mut portable, mut best) = (false, 1usize);
+    let cli = TOOL.parse(&args, |flag, value| match flag {
+        "--portable" => {
+            portable = true;
+            true
         }
-        i += 1;
-    }
-    match cmd {
-        "run" => {
-            let baseline = merge.as_deref().and_then(extract_baseline);
-            let benches = measure_best(best, quick, portable);
-            let doc = report(&benches, quick, &label, baseline);
-            let text = doc.pretty();
-            match out {
-                Some(path) => {
-                    std::fs::write(&path, format!("{text}\n")).expect("write report");
-                    eprintln!("live: wrote {path}");
-                }
-                None => println!("{text}"),
-            }
+        "--best" => {
+            best = value().parse().unwrap_or_else(|_| TOOL.usage());
+            true
         }
-        "check" => {
-            let Some(against) = against else { usage() };
-            std::process::exit(check(&against, tolerance, quick));
-        }
-        "validate" => {
-            let Some(file) = file else { usage() };
-            std::process::exit(validate(&file));
-        }
-        _ => usage(),
-    }
+        _ => false,
+    });
+    // `check` always re-measures the default batched backend, the one the
+    // pins were taken on.
+    let portable = portable && cli.cmd == "run";
+    TOOL.dispatch(&cli, best, || measure(cli.quick, portable));
+    TOOL.usage()
 }

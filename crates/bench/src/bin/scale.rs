@@ -22,12 +22,13 @@
 //! scale validate FILE
 //! ```
 //!
-//! `run` measures and writes a JSON report (schema documented in
-//! EXPERIMENTS.md). `--merge-baseline` carries the `baseline_pre_pr`
+//! `run`, `check` and `validate` are the report harness shared with `live`
+//! (the `srm_bench` library). `run` measures and writes a JSON report
+//! (schema `srm-bench/1`, documented in EXPERIMENTS.md). `--merge-baseline` carries the `baseline_pre_pr`
 //! section of an existing report forward, so the committed `BENCH_4.json`
 //! keeps its before/after pairing across refreshes. `check` re-measures
-//! (best of five repetitions, so only a regression every repetition
-//! reproduces can fire) and fails with exit 1 if any benchmark regressed
+//! (best of five repetitions by *minimum* `mean_ms`, so only a regression
+//! every repetition reproduces can fire) and fails with exit 1 if any benchmark regressed
 //! more than `tolerance` (default 1.25×) against the report's `benches`
 //! section — the CI regression gate. `durability` is the WAL-overhead
 //! guard: it runs the Fig-4 round with a durable store attached to every
@@ -39,11 +40,12 @@
 use bytes::Bytes;
 use netsim::generators::bounded_degree_tree;
 use netsim::{GroupId, NodeId, SendOptions, SimTime, Simulator};
+use obs::json::Json;
 use srm::SrmConfig;
+use srm_bench::{round, Bench, Better, Tool};
 use srm_experiments::round::run_round;
 use srm_experiments::scenario::{DropSpec, ScenarioSpec, TopoSpec};
 use srm_experiments::fig4;
-use srm_sim::json::Json;
 use std::time::Instant;
 
 /// One measured benchmark.
@@ -158,129 +160,23 @@ fn measure(quick: bool) -> Vec<BenchResult> {
     out
 }
 
-fn benches_to_json(benches: &[BenchResult]) -> Json {
-    Json::Arr(
-        benches
-            .iter()
-            .map(|b| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(b.name.into())),
-                    ("iters".into(), Json::Num(b.iters as f64)),
-                    ("mean_ms".into(), Json::Num(round3(b.mean_ms))),
-                    ("events_per_sec".into(), Json::Num(round3(b.events_per_sec))),
-                ])
-            })
-            .collect(),
-    )
-}
+impl Bench for BenchResult {
+    fn name(&self) -> &str {
+        self.name
+    }
 
-fn round3(x: f64) -> f64 {
-    (x * 1e3).round() / 1e3
-}
+    fn value(&self) -> f64 {
+        self.mean_ms
+    }
 
-fn report(benches: &[BenchResult], quick: bool, label: &str, baseline: Option<Json>) -> Json {
-    let mut fields = vec![
-        ("schema".into(), Json::Str("srm-bench/1".into())),
-        ("label".into(), Json::Str(label.into())),
-        ("quick".into(), Json::Bool(quick)),
-        ("benches".into(), benches_to_json(benches)),
-    ];
-    if let Some(b) = baseline {
-        fields.push(("baseline_pre_pr".into(), b));
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("name".into(), Json::Str(self.name.into())),
+            ("iters".into(), Json::Num(self.iters as f64)),
+            ("mean_ms".into(), Json::Num(round(self.mean_ms, 3))),
+            ("events_per_sec".into(), Json::Num(round(self.events_per_sec, 3))),
+        ])
     }
-    Json::Obj(fields)
-}
-
-/// Pull a baseline section out of an existing report: prefer its explicit
-/// `baseline_pre_pr`, else treat its own `benches` as the baseline (the
-/// first report written before the optimisation is exactly that).
-fn extract_baseline(path: &str) -> Option<Json> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let doc = Json::parse(&text).ok()?;
-    if let Some(b) = doc.get("baseline_pre_pr") {
-        return Some(b.clone());
-    }
-    doc.get("benches").cloned()
-}
-
-fn check(against: &str, tolerance: f64, quick: bool) -> i32 {
-    let text = match std::fs::read_to_string(against) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("scale check: cannot read {against}: {e}");
-            return 1;
-        }
-    };
-    let doc = match Json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("scale check: {against} is not valid JSON: {e}");
-            return 1;
-        }
-    };
-    if doc.get("schema").and_then(Json::as_str) != Some("srm-bench/1") {
-        eprintln!("scale check: {against} missing schema srm-bench/1");
-        return 1;
-    }
-    let Some(pinned) = doc.get("benches").and_then(Json::as_arr) else {
-        eprintln!("scale check: {against} has no benches array");
-        return 1;
-    };
-    // Best-of-5: wall-clock means are right-skewed (scheduler noise,
-    // page faults), so the minimum over repetitions is the robust
-    // estimator — a regression only fires if every repetition is slow.
-    let mut fresh = measure(quick);
-    for _ in 0..4 {
-        for (f, g) in fresh.iter_mut().zip(measure(quick)) {
-            if g.mean_ms < f.mean_ms {
-                *f = g;
-            }
-        }
-    }
-    let mut failed = false;
-    for f in &fresh {
-        let Some(pin) = pinned.iter().find(|p| {
-            p.get("name").and_then(Json::as_str) == Some(f.name)
-        }) else {
-            eprintln!("scale check: {} not pinned in {against} (skipping)", f.name);
-            continue;
-        };
-        let Some(pin_ms) = pin.get("mean_ms").and_then(Json::as_f64) else {
-            eprintln!("scale check: pinned {} has no mean_ms", f.name);
-            failed = true;
-            continue;
-        };
-        let ratio = f.mean_ms / pin_ms;
-        if ratio > tolerance {
-            eprintln!(
-                "scale check: REGRESSION {}: {:.3} ms/iter vs pinned {:.3} ({}x > {}x budget)",
-                f.name,
-                f.mean_ms,
-                pin_ms,
-                fmt2(ratio),
-                tolerance
-            );
-            failed = true;
-        } else {
-            eprintln!(
-                "scale check: ok {}: {:.3} ms/iter vs pinned {:.3} ({}x)",
-                f.name,
-                f.mean_ms,
-                pin_ms,
-                fmt2(ratio)
-            );
-        }
-    }
-    if failed {
-        1
-    } else {
-        eprintln!("scale check: all benchmarks within {tolerance}x of {against}");
-        0
-    }
-}
-
-fn fmt2(x: f64) -> String {
-    format!("{x:.2}")
 }
 
 /// One timed batch of Fig-4 recovery rounds, optionally with a durable
@@ -324,145 +220,34 @@ fn durability(tolerance: f64, quick: bool) -> i32 {
     let ratio = durable / plain;
     if ratio > tolerance {
         eprintln!(
-            "scale durability: REGRESSION fig4 round: {:.3} ms durable vs {:.3} ms plain ({}x > {}x budget)",
-            durable, plain, fmt2(ratio), tolerance
+            "scale durability: REGRESSION fig4 round: {:.3} ms durable vs {:.3} ms plain ({:.2}x > {}x budget)",
+            durable, plain, ratio, tolerance
         );
         1
     } else {
         eprintln!(
-            "scale durability: ok — fig4 round {:.3} ms durable vs {:.3} ms plain ({}x ≤ {}x budget)",
-            durable, plain, fmt2(ratio), tolerance
+            "scale durability: ok — fig4 round {:.3} ms durable vs {:.3} ms plain ({:.2}x ≤ {}x budget)",
+            durable, plain, ratio, tolerance
         );
         0
     }
 }
 
-/// Structural validation of a report file: schema tag, non-empty benches,
-/// and every entry carrying the fields `check` would need. No measuring.
-fn validate(path: &str) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("scale validate: cannot read {path}: {e}");
-            return 1;
-        }
-    };
-    let doc = match Json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("scale validate: {path} is not valid JSON: {e}");
-            return 1;
-        }
-    };
-    if doc.get("schema").and_then(Json::as_str) != Some("srm-bench/1") {
-        eprintln!("scale validate: {path} missing schema srm-bench/1");
-        return 1;
-    }
-    let Some(benches) = doc.get("benches").and_then(Json::as_arr) else {
-        eprintln!("scale validate: {path} has no benches array");
-        return 1;
-    };
-    if benches.is_empty() {
-        eprintln!("scale validate: {path} benches array is empty");
-        return 1;
-    }
-    for b in benches {
-        let name = b.get("name").and_then(Json::as_str);
-        if name.is_none()
-            || b.get("mean_ms").and_then(Json::as_f64).is_none()
-            || b.get("iters").and_then(Json::as_f64).is_none()
-            || b.get("events_per_sec").and_then(Json::as_f64).is_none()
-        {
-            eprintln!(
-                "scale validate: {path}: bench entry {:?} missing name/iters/mean_ms/events_per_sec",
-                name.unwrap_or("<unnamed>")
-            );
-            return 1;
-        }
-    }
-    eprintln!("scale validate: {path} ok ({} benches)", benches.len());
-    0
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  scale run [--quick] [--out FILE] [--merge-baseline FILE] [--label S]\n  scale check --against FILE [--tolerance R] [--quick]\n  scale durability [--tolerance R] [--quick]\n  scale validate FILE"
-    );
-    std::process::exit(2);
-}
+const TOOL: Tool = Tool {
+    name: "scale",
+    schema: "srm-bench/1",
+    metric: "mean_ms",
+    better: Better::Lower,
+    required: &["iters", "mean_ms", "events_per_sec"],
+    usage: "  scale run [--quick] [--out FILE] [--merge-baseline FILE] [--label S]\n  scale check --against FILE [--tolerance R] [--quick]\n  scale durability [--tolerance R] [--quick]\n  scale validate FILE",
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first().map(String::as_str) else {
-        usage();
-    };
-    let mut quick = false;
-    let mut out: Option<String> = None;
-    let mut merge: Option<String> = None;
-    let mut against: Option<String> = None;
-    let mut label = String::from("working-tree");
-    let mut tolerance = 1.25f64;
-    let mut file: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                i += 1;
-                out = Some(args.get(i).unwrap_or_else(|| usage()).clone());
-            }
-            "--merge-baseline" => {
-                i += 1;
-                merge = Some(args.get(i).unwrap_or_else(|| usage()).clone());
-            }
-            "--against" => {
-                i += 1;
-                against = Some(args.get(i).unwrap_or_else(|| usage()).clone());
-            }
-            "--label" => {
-                i += 1;
-                label = args.get(i).unwrap_or_else(|| usage()).clone();
-            }
-            "--tolerance" => {
-                i += 1;
-                tolerance = args
-                    .get(i)
-                    .unwrap_or_else(|| usage())
-                    .parse()
-                    .unwrap_or_else(|_| usage());
-            }
-            a if !a.starts_with('-') && cmd == "validate" && file.is_none() => {
-                file = Some(a.to_string());
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
-    match cmd {
-        "run" => {
-            let baseline = merge.as_deref().and_then(extract_baseline);
-            let benches = measure(quick);
-            let doc = report(&benches, quick, &label, baseline);
-            let text = doc.pretty();
-            match out {
-                Some(path) => {
-                    std::fs::write(&path, format!("{text}\n")).expect("write report");
-                    eprintln!("scale: wrote {path}");
-                }
-                None => println!("{text}"),
-            }
-        }
-        "check" => {
-            let Some(against) = against else { usage() };
-            std::process::exit(check(&against, tolerance, quick));
-        }
-        "durability" => {
-            std::process::exit(durability(tolerance, quick));
-        }
-        "validate" => {
-            let Some(file) = file else { usage() };
-            std::process::exit(validate(&file));
-        }
-        _ => usage(),
+    let cli = TOOL.parse(&args, |_, _| false);
+    TOOL.dispatch(&cli, 1, || measure(cli.quick));
+    match cli.cmd.as_str() {
+        "durability" => std::process::exit(durability(cli.tolerance, cli.quick)),
+        _ => TOOL.usage(),
     }
 }

@@ -16,7 +16,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
+// The JSON module lives in `obs`. It is re-exported here because the
+// standalone benchmark package (`srmbench/`) imports it as `srm_sim::json`.
+pub use obs::json;
 pub mod run;
 pub mod spec;
 

@@ -9,7 +9,7 @@ use netsim::generators;
 use netsim::loss::{BernoulliLoss, NoLoss, ScriptedDrop};
 use netsim::routing::SpTree;
 use netsim::{flow, GroupId, NodeId, SimDuration, Simulator, Topology};
-use crate::json::Json;
+use obs::json::Json;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use srm::config::RecoveryGroupConfig;

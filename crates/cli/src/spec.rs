@@ -4,12 +4,12 @@
 //! configuration, a loss process, and a workload; [`crate::run()`](crate::run()) executes
 //! it and reports traffic and recovery statistics.
 //!
-//! Parsing and serialization are hand-written over [`crate::json`] (the
+//! Parsing and serialization are hand-written over [`obs::json`] (the
 //! workspace builds offline, without serde); the wire shapes match the
 //! original serde derives: `{"kind": ...}`-tagged topology and loss,
 //! untagged members/timers, defaultable config/effects/workload sections.
 
-use crate::json::{Json, JsonError};
+use obs::json::{Json, JsonError};
 use std::fmt;
 
 /// Topology description.

@@ -12,7 +12,7 @@
 //! Both formats are versioned (`"v":1`); unknown versions fail validation
 //! rather than being misread.
 
-use srm_sim::json::Json;
+use obs::json::Json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 

@@ -1,12 +1,23 @@
-//! A small, dependency-free JSON tree: parser, pretty printer, and typed
-//! accessors.
+//! The workspace's one JSON module: parser, pretty printer, typed
+//! accessors, and the string escaper every JSON writer uses.
 //!
-//! Replaces `serde_json` for the scenario schema so the workspace builds
-//! without registry access. Strictness matches what the schema needs:
-//! full JSON syntax on input (objects, arrays, strings with escapes,
-//! numbers, booleans, null), insertion-ordered objects, and `f64` numbers.
+//! Replaces `serde_json` so the workspace builds without registry access.
+//! It reads scenario files, bench reports, monitor/stats JSONL and the
+//! hub's line-JSON control plane. Full JSON syntax on input (objects,
+//! arrays, strings with escapes, numbers, booleans, null),
+//! insertion-ordered objects, and `f64` numbers.
+//!
+//! The parser recurses once per nesting level, so it refuses documents
+//! nested deeper than [`MAX_DEPTH`] with an error instead of overflowing
+//! the stack: a control line from the network must never abort the
+//! process. Error messages are stable (`"{msg} at byte {at}"`); the hub's
+//! control golden pins some of them.
 
 use std::fmt;
+
+/// Deepest array/object nesting the parser accepts. Scenario files, bench
+/// reports and control lines use at most a handful of levels.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -46,14 +57,16 @@ impl Json {
     /// Parse a complete JSON document.
     pub fn parse(s: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            s,
             b: s.as_bytes(),
             i: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
         if p.i != p.b.len() {
-            return Err(p.err("trailing characters"));
+            return Err(p.err("trailing input"));
         }
         Ok(v)
     }
@@ -128,7 +141,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => out.push_str(&format_num(*n)),
-            Json::Str(s) => write_escaped(out, s),
+            Json::Str(s) => write_quoted(out, s),
             Json::Arr(v) => {
                 if v.is_empty() {
                     out.push_str("[]");
@@ -159,7 +172,7 @@ impl Json {
                     }
                     out.push('\n');
                     push_indent(out, indent + 1);
-                    write_escaped(out, k);
+                    write_quoted(out, k);
                     out.push_str(": ");
                     v.write(out, indent + 1);
                 }
@@ -186,8 +199,15 @@ fn push_indent(out: &mut String, levels: usize) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+fn write_quoted(out: &mut String, s: &str) {
     out.push('"');
+    out.push_str(&escape(s));
+    out.push('"');
+}
+
+/// Escape `s` for embedding between the quotes of a JSON string literal.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -201,19 +221,25 @@ fn write_escaped(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
-    out.push('"');
+    out
 }
 
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     i: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
     fn err(&self, msg: &str) -> JsonError {
+        self.err_at(msg, self.i)
+    }
+
+    fn err_at(&self, msg: &str, at: usize) -> JsonError {
         JsonError {
             msg: msg.to_string(),
-            at: self.i,
+            at,
         }
     }
 
@@ -232,21 +258,32 @@ impl Parser<'_> {
             self.i += 1;
             Ok(())
         } else {
-            Err(self.err(&format!("expected '{}'", c as char)))
+            Err(self.err(&format!("expected `{}`", c as char)))
         }
     }
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
+            _ => Err(self.err("unexpected input")),
         }
+    }
+
+    /// Run one container parser a level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, JsonError>) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, JsonError> {
@@ -254,7 +291,7 @@ impl Parser<'_> {
             self.i += word.len();
             Ok(v)
         } else {
-            Err(self.err(&format!("expected '{word}'")))
+            Err(self.err("bad literal"))
         }
     }
 
@@ -269,10 +306,10 @@ impl Parser<'_> {
         {
             self.i += 1;
         }
-        let text = std::str::from_utf8(&self.b[start..self.i]).expect("ascii");
-        text.parse::<f64>()
+        self.s[start..self.i]
+            .parse::<f64>()
             .map(Json::Num)
-            .map_err(|_| self.err("malformed number"))
+            .map_err(|_| self.err_at("bad number", start))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -287,39 +324,45 @@ impl Parser<'_> {
                 }
                 Some(b'\\') => {
                     self.i += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.i + 4 >= self.b.len() {
+                    let Some(e) = self.peek() else {
+                        return Err(self.err("unterminated escape"));
+                    };
+                    match e {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'u' => {
+                            let Some(hex) = self.b.get(self.i + 1..self.i + 5) else {
                                 return Err(self.err("truncated \\u escape"));
+                            };
+                            if !hex.iter().all(u8::is_ascii_hexdigit) {
+                                return Err(self.err("bad \\u escape"));
                             }
-                            let hex = std::str::from_utf8(&self.b[self.i + 1..self.i + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogate pairs are not needed by the schema;
-                            // lone surrogates map to the replacement char.
+                            let code = u32::from_str_radix(&self.s[self.i + 1..self.i + 5], 16)
+                                .expect("four hex digits");
+                            // Surrogate pairs are not needed by any schema
+                            // here; lone surrogates map to the replacement char.
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             self.i += 4;
                         }
-                        _ => return Err(self.err("bad escape")),
+                        other => return Err(self.err(&format!("bad escape `\\{}`", other as char))),
                     }
                     self.i += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so it's valid).
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // go; both are ASCII, so the run ends on a char boundary.
+                    let end = self.b[self.i..]
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\')
+                        .map_or(self.b.len(), |n| self.i + n);
+                    out.push_str(&self.s[self.i..end]);
+                    self.i = end;
                 }
             }
         }
@@ -343,7 +386,7 @@ impl Parser<'_> {
                     self.i += 1;
                     return Ok(Json::Arr(v));
                 }
-                _ => return Err(self.err("expected ',' or ']'")),
+                _ => return Err(self.err("expected `,` or `]` in array")),
             }
         }
     }
@@ -371,7 +414,7 @@ impl Parser<'_> {
                     self.i += 1;
                     return Ok(Json::Obj(m));
                 }
-                _ => return Err(self.err("expected ',' or '}'")),
+                _ => return Err(self.err("expected `,` or `}` in object")),
             }
         }
     }
@@ -415,6 +458,35 @@ mod tests {
         assert_eq!(Json::Num(3.0).pretty(), "3");
         assert_eq!(Json::Num(-7.0).pretty(), "-7");
         assert_eq!(Json::Num(2.5).pretty(), "2.5");
+    }
+
+    #[test]
+    fn escape_is_exact_and_parses_back() {
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+        let s = "weird \"payload\"\twith\nnewlines";
+        let line = format!("{{\"t\":\"{}\"}}", escape(s));
+        assert_eq!(
+            Json::parse(&line).unwrap().get("t").and_then(Json::as_str),
+            Some(s)
+        );
+    }
+
+    #[test]
+    fn parses_unicode_and_utf8_strings() {
+        let v = Json::parse(r#"{"t":"café — ünïcode","u":"\u00e9\u2014"}"#).unwrap();
+        assert_eq!(v.get("t").and_then(Json::as_str), Some("café — ünïcode"));
+        assert_eq!(v.get("u").and_then(Json::as_str), Some("é—"));
+    }
+
+    #[test]
+    fn refuses_nesting_past_the_depth_limit() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let e = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.to_string(), "nesting deeper than 64 at byte 64");
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //!   `report` subcommand;
 //! * [`stats`] holds the exact sample statistics (quartiles via linear
 //!   interpolation) that the experiment figures have always used — moved
-//!   here so figures and reports share one implementation.
+//!   here so figures and reports share one implementation;
+//! * [`json`] is the workspace's one JSON reader, printer and string
+//!   escaper (scenario files, bench reports, the hub control plane).
 //!
 //! [`SimTime`]: netsim::SimTime
 
@@ -33,6 +35,7 @@
 
 pub mod event;
 pub mod hist;
+pub mod json;
 pub mod metrics;
 pub mod recorder;
 pub mod stats;

@@ -15,6 +15,7 @@ use std::fmt::Write as _;
 use netsim::SimTime;
 
 use crate::event::{fmt_time, AduKey, EventKind, FaultSpan, RecordedEvent};
+use crate::json::escape;
 use crate::transport::TransportRecord;
 
 /// A member-attributed event inside a timeline.
@@ -422,11 +423,6 @@ impl Timeline {
         }
         out
     }
-}
-
-/// Minimal JSON string escaping (labels are plain ASCII in practice).
-pub(crate) fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]

@@ -158,7 +158,7 @@ impl TransportEventKind {
                 let _ = write!(
                     out,
                     ",\"detail\":\"{}\",\"transient\":{}",
-                    crate::timeline::escape(detail),
+                    crate::json::escape(detail),
                     transient
                 );
             }
@@ -166,13 +166,13 @@ impl TransportEventKind {
                 let _ = write!(out, ",\"attempt\":{attempt}");
             }
             TransportEventKind::RecvExit { reason } => {
-                let _ = write!(out, ",\"reason\":\"{}\"", crate::timeline::escape(reason));
+                let _ = write!(out, ",\"reason\":\"{}\"", crate::json::escape(reason));
             }
             TransportEventKind::ModeFallback { peers } => {
                 let _ = write!(out, ",\"peers\":{peers}");
             }
             TransportEventKind::DecodeError { reason } => {
-                let _ = write!(out, ",\"reason\":\"{}\"", crate::timeline::escape(reason));
+                let _ = write!(out, ",\"reason\":\"{}\"", crate::json::escape(reason));
             }
             TransportEventKind::QueueHighWater { wheel, delayq } => {
                 let _ = write!(out, ",\"wheel\":{wheel},\"delayq\":{delayq}");

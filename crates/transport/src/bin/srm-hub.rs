@@ -24,6 +24,9 @@
 //! `{"cmd":"stop"}` drains every group (final session message, WAL flush)
 //! and exits the process; `--duration` bounds the run for scripts.
 
+mod common;
+
+use common::{apply_batch, at_least_one, next, positive_secs, value};
 use srm_transport::hub::{Hub, HubOptions};
 use srm_transport::{handle_line, parse_command, Command, HubHandle};
 use std::io::{BufRead, BufReader, Write as _};
@@ -97,73 +100,24 @@ fn parse_args() -> Args {
     let mut stats_interval = 1.0f64;
     let mut duration = None;
     let mut quiet = false;
-    let next = |argv: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        argv.next()
-            .unwrap_or_else(|| die(&format!("{flag} needs a value")))
-    };
     while let Some(a) = argv.next() {
         match a.as_str() {
-            "--bind" => {
-                bind = Some(
-                    next(&mut argv, "--bind")
-                        .parse()
-                        .unwrap_or_else(|_| die("--bind must be host:port")),
-                )
-            }
-            "--control" => {
-                control = Some(
-                    next(&mut argv, "--control")
-                        .parse()
-                        .unwrap_or_else(|_| die("--control must be host:port")),
-                )
-            }
+            "--bind" => bind = Some(value(&mut argv, "--bind", "host:port")),
+            "--control" => control = Some(value(&mut argv, "--control", "host:port")),
             "--shards" => {
-                let n: usize = next(&mut argv, "--shards")
-                    .parse()
-                    .unwrap_or_else(|_| die("--shards must be an integer"));
+                let n: usize = value(&mut argv, "--shards", "an integer");
                 if !(1..=64).contains(&n) {
                     die("--shards must be in 1..=64");
                 }
                 shards = n;
             }
-            "--seed" => {
-                seed = next(&mut argv, "--seed")
-                    .parse()
-                    .unwrap_or_else(|_| die("--seed must be an integer"))
-            }
+            "--seed" => seed = value(&mut argv, "--seed", "an integer"),
             "--store" => store = Some(PathBuf::from(next(&mut argv, "--store"))),
-            "--batch" => {
-                batch = Some(
-                    next(&mut argv, "--batch")
-                        .parse()
-                        .unwrap_or_else(|_| die("--batch must be an integer")),
-                )
-            }
-            "--pool" => {
-                let n: usize = next(&mut argv, "--pool")
-                    .parse()
-                    .unwrap_or_else(|_| die("--pool must be an integer"));
-                if n == 0 {
-                    die("--pool must be at least 1");
-                }
-                pool = Some(n);
-            }
+            "--batch" => batch = Some(value(&mut argv, "--batch", "an integer")),
+            "--pool" => pool = Some(at_least_one(&mut argv, "--pool")),
             "--stats-file" => stats_file = Some(next(&mut argv, "--stats-file")),
-            "--stats-interval" => {
-                stats_interval = next(&mut argv, "--stats-interval")
-                    .parse()
-                    .unwrap_or_else(|_| die("--stats-interval must be seconds"));
-                if stats_interval <= 0.0 {
-                    die("--stats-interval must be positive");
-                }
-            }
-            "--duration" => {
-                duration = Some(
-                    next(&mut argv, "--duration")
-                        .parse()
-                        .unwrap_or_else(|_| die("--duration must be seconds")),
-                )
-            }
+            "--stats-interval" => stats_interval = positive_secs(&mut argv, "--stats-interval"),
+            "--duration" => duration = Some(value(&mut argv, "--duration", "seconds")),
             "--quiet" => quiet = true,
             "-h" | "--help" => {
                 println!("{USAGE}");
@@ -231,17 +185,7 @@ fn main() {
         store_root: args.store.clone(),
         ..HubOptions::default()
     };
-    match args.batch {
-        Some(0) => opts.batch.force_portable = true,
-        Some(n) => {
-            opts.batch.recv_batch = n;
-            opts.batch.send_batch = n;
-        }
-        None => {}
-    }
-    if let Some(n) = args.pool {
-        opts.batch.pool_slabs = n;
-    }
+    apply_batch(&mut opts.batch, args.batch, args.pool);
 
     let hub = match Hub::spawn(args.bind, opts) {
         Ok(h) => h,

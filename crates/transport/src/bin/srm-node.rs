@@ -44,6 +44,9 @@
 //! payloads evicted from the in-memory cache (`--store-cache`) are
 //! served from the log.
 
+mod common;
+
+use common::{apply_batch, at_least_one, next, positive_secs, value};
 use bytes::Bytes;
 use netsim::GroupId;
 use srm_transport::{
@@ -190,129 +193,35 @@ fn parse_args() -> Args {
     let mut batch: Option<usize> = None;
     let mut pool: Option<usize> = None;
     let mut quiet = false;
-
-    let next = |argv: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        argv.next()
-            .unwrap_or_else(|| die(&format!("{flag} needs a value")))
-    };
     while let Some(a) = argv.next() {
         match a.as_str() {
-            "--id" => {
-                id = Some(
-                    next(&mut argv, "--id")
-                        .parse()
-                        .unwrap_or_else(|_| die("--id must be an integer")),
-                )
-            }
-            "--bind" => {
-                bind = Some(
-                    next(&mut argv, "--bind")
-                        .parse()
-                        .unwrap_or_else(|_| die("--bind must be host:port")),
-                )
-            }
+            "--id" => id = Some(value(&mut argv, "--id", "an integer")),
+            "--bind" => bind = Some(value(&mut argv, "--bind", "host:port")),
             "--peers" => {
                 let list = next(&mut argv, "--peers");
                 let parsed: Result<Vec<SocketAddr>, _> =
                     list.split(',').map(|p| p.trim().parse()).collect();
                 peers = Some(parsed.unwrap_or_else(|_| die("--peers must be host:port,host:port")));
             }
-            "--mcast" => {
-                mcast = Some(
-                    next(&mut argv, "--mcast")
-                        .parse()
-                        .unwrap_or_else(|_| die("--mcast must be group-ip:port")),
-                )
-            }
-            "--group" => {
-                group = next(&mut argv, "--group")
-                    .parse()
-                    .unwrap_or_else(|_| die("--group must be an integer"))
-            }
-            "--members" => {
-                members = next(&mut argv, "--members")
-                    .parse()
-                    .unwrap_or_else(|_| die("--members must be an integer"))
-            }
+            "--mcast" => mcast = Some(value(&mut argv, "--mcast", "group-ip:port")),
+            "--group" => group = value(&mut argv, "--group", "an integer"),
+            "--members" => members = value(&mut argv, "--members", "an integer"),
             "--text" => texts.push(next(&mut argv, "--text")),
-            "--duration" => {
-                duration = next(&mut argv, "--duration")
-                    .parse()
-                    .unwrap_or_else(|_| die("--duration must be seconds"))
-            }
+            "--duration" => duration = value(&mut argv, "--duration", "seconds"),
             "--trace" => trace = Some(next(&mut argv, "--trace")),
-            "--trace-cap" => {
-                trace_cap = Some(
-                    next(&mut argv, "--trace-cap")
-                        .parse()
-                        .unwrap_or_else(|_| die("--trace-cap must be an integer")),
-                )
-            }
+            "--trace-cap" => trace_cap = Some(value(&mut argv, "--trace-cap", "an integer")),
             "--stats-file" => stats_file = Some(next(&mut argv, "--stats-file")),
-            "--stats-addr" => {
-                stats_addr = Some(
-                    next(&mut argv, "--stats-addr")
-                        .parse()
-                        .unwrap_or_else(|_| die("--stats-addr must be host:port")),
-                )
-            }
-            "--stats-interval" => {
-                stats_interval = next(&mut argv, "--stats-interval")
-                    .parse()
-                    .unwrap_or_else(|_| die("--stats-interval must be seconds"));
-                if stats_interval <= 0.0 {
-                    die("--stats-interval must be positive");
-                }
-            }
-            "--seed" => {
-                seed = Some(
-                    next(&mut argv, "--seed")
-                        .parse()
-                        .unwrap_or_else(|_| die("--seed must be an integer")),
-                )
-            }
-            "--drop-data" => {
-                drop_data = Some(
-                    next(&mut argv, "--drop-data")
-                        .parse()
-                        .unwrap_or_else(|_| die("--drop-data must be an integer")),
-                )
-            }
+            "--stats-addr" => stats_addr = Some(value(&mut argv, "--stats-addr", "host:port")),
+            "--stats-interval" => stats_interval = positive_secs(&mut argv, "--stats-interval"),
+            "--seed" => seed = Some(value(&mut argv, "--seed", "an integer")),
+            "--drop-data" => drop_data = Some(value(&mut argv, "--drop-data", "an integer")),
             "--chaos" => chaos = Some(next(&mut argv, "--chaos")),
             "--store" => store_dir = Some(next(&mut argv, "--store")),
             "--fsync" => fsync = Some(next(&mut argv, "--fsync")),
-            "--store-cache" => {
-                let n: usize = next(&mut argv, "--store-cache")
-                    .parse()
-                    .unwrap_or_else(|_| die("--store-cache must be an integer"));
-                if n == 0 {
-                    die("--store-cache must be at least 1");
-                }
-                store_cache = Some(n);
-            }
-            "--snapshot-every" => {
-                snapshot_every = Some(
-                    next(&mut argv, "--snapshot-every")
-                        .parse()
-                        .unwrap_or_else(|_| die("--snapshot-every must be an integer")),
-                )
-            }
-            "--batch" => {
-                batch = Some(
-                    next(&mut argv, "--batch")
-                        .parse()
-                        .unwrap_or_else(|_| die("--batch must be an integer")),
-                )
-            }
-            "--pool" => {
-                let n: usize = next(&mut argv, "--pool")
-                    .parse()
-                    .unwrap_or_else(|_| die("--pool must be an integer"));
-                if n == 0 {
-                    die("--pool must be at least 1");
-                }
-                pool = Some(n);
-            }
+            "--store-cache" => store_cache = Some(at_least_one(&mut argv, "--store-cache")),
+            "--snapshot-every" => snapshot_every = Some(value(&mut argv, "--snapshot-every", "an integer")),
+            "--batch" => batch = Some(value(&mut argv, "--batch", "an integer")),
+            "--pool" => pool = Some(at_least_one(&mut argv, "--pool")),
             "--quiet" => quiet = true,
             "-h" | "--help" => {
                 println!("{USAGE}");
@@ -396,60 +305,17 @@ fn run_monitor(mut argv: impl Iterator<Item = String>) -> ! {
     let mut out_path: Option<String> = None;
     let mut liveness = LivenessConfig::default();
     let mut quiet = false;
-    let next = |argv: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        argv.next()
-            .unwrap_or_else(|| die(&format!("{flag} needs a value")))
-    };
     while let Some(a) = argv.next() {
         match a.as_str() {
-            "--bind" => {
-                bind = Some(
-                    next(&mut argv, "--bind")
-                        .parse()
-                        .unwrap_or_else(|_| die("--bind must be host:port")),
-                )
-            }
-            "--mcast" => {
-                mcast = Some(
-                    next(&mut argv, "--mcast")
-                        .parse()
-                        .unwrap_or_else(|_| die("--mcast must be group-ip:port")),
-                )
-            }
-            "--group" => {
-                group = next(&mut argv, "--group")
-                    .parse()
-                    .unwrap_or_else(|_| die("--group must be an integer"))
-            }
-            "--members" => {
-                members = next(&mut argv, "--members")
-                    .parse()
-                    .unwrap_or_else(|_| die("--members must be an integer"))
-            }
-            "--duration" => {
-                duration = next(&mut argv, "--duration")
-                    .parse()
-                    .unwrap_or_else(|_| die("--duration must be seconds"))
-            }
-            "--refresh" => {
-                refresh = next(&mut argv, "--refresh")
-                    .parse()
-                    .unwrap_or_else(|_| die("--refresh must be seconds"));
-                if refresh <= 0.0 {
-                    die("--refresh must be positive");
-                }
-            }
+            "--bind" => bind = Some(value(&mut argv, "--bind", "host:port")),
+            "--mcast" => mcast = Some(value(&mut argv, "--mcast", "group-ip:port")),
+            "--group" => group = value(&mut argv, "--group", "an integer"),
+            "--members" => members = value(&mut argv, "--members", "an integer"),
+            "--duration" => duration = value(&mut argv, "--duration", "seconds"),
+            "--refresh" => refresh = positive_secs(&mut argv, "--refresh"),
             "--out" => out_path = Some(next(&mut argv, "--out")),
-            "--suspect" => {
-                liveness.suspect_after = next(&mut argv, "--suspect")
-                    .parse()
-                    .unwrap_or_else(|_| die("--suspect must be a number"))
-            }
-            "--dead" => {
-                liveness.dead_after = next(&mut argv, "--dead")
-                    .parse()
-                    .unwrap_or_else(|_| die("--dead must be a number"))
-            }
+            "--suspect" => liveness.suspect_after = value(&mut argv, "--suspect", "a number"),
+            "--dead" => liveness.dead_after = value(&mut argv, "--dead", "a number"),
             "--quiet" => quiet = true,
             "-h" | "--help" => {
                 println!("{USAGE}");
@@ -546,48 +412,26 @@ fn run_monitor(mut argv: impl Iterator<Item = String>) -> ! {
 fn run_soak(mut argv: impl Iterator<Item = String>) -> ! {
     let mut opts = SoakOptions::default();
     let mut trace_path: Option<String> = None;
-    let next = |argv: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        argv.next()
-            .unwrap_or_else(|| die(&format!("{flag} needs a value")))
-    };
     while let Some(a) = argv.next() {
         match a.as_str() {
             "--nodes" => {
-                opts.nodes = next(&mut argv, "--nodes")
-                    .parse()
-                    .unwrap_or_else(|_| die("--nodes must be an integer"));
+                opts.nodes = value(&mut argv, "--nodes", "an integer");
                 if !(2..=16).contains(&opts.nodes) {
                     die("--nodes must be in 2..=16");
                 }
             }
             "--secs" => {
-                let secs: f64 = next(&mut argv, "--secs")
-                    .parse()
-                    .unwrap_or_else(|_| die("--secs must be seconds"));
+                let secs: f64 = value(&mut argv, "--secs", "seconds");
                 opts.duration = Duration::from_secs_f64(secs.max(0.1));
             }
-            "--adus" => {
-                opts.adus_per_node = next(&mut argv, "--adus")
-                    .parse()
-                    .unwrap_or_else(|_| die("--adus must be an integer"));
-            }
+            "--adus" => opts.adus_per_node = value(&mut argv, "--adus", "an integer"),
             "--chaos" => opts.chaos = next(&mut argv, "--chaos"),
-            "--seed" => {
-                opts.seed = next(&mut argv, "--seed")
-                    .parse()
-                    .unwrap_or_else(|_| die("--seed must be an integer"));
-            }
+            "--seed" => opts.seed = value(&mut argv, "--seed", "an integer"),
             "--settle" => {
-                let secs: f64 = next(&mut argv, "--settle")
-                    .parse()
-                    .unwrap_or_else(|_| die("--settle must be seconds"));
+                let secs: f64 = value(&mut argv, "--settle", "seconds");
                 opts.settle = Duration::from_secs_f64(secs.max(0.0));
             }
-            "--group" => {
-                opts.group = next(&mut argv, "--group")
-                    .parse()
-                    .unwrap_or_else(|_| die("--group must be a group id"));
-            }
+            "--group" => opts.group = value(&mut argv, "--group", "a group id"),
             "--trace" => {
                 trace_path = Some(next(&mut argv, "--trace"));
                 opts.trace = true;
@@ -667,18 +511,7 @@ fn main() {
         opts.liveness = Some(srm::LivenessConfig::default());
     }
     opts.store = args.store.clone();
-    match args.batch {
-        // 0 keeps the pooled datapath but moves one datagram per syscall.
-        Some(0) => opts.batch.force_portable = true,
-        Some(n) => {
-            opts.batch.recv_batch = n;
-            opts.batch.send_batch = n;
-        }
-        None => {}
-    }
-    if let Some(n) = args.pool {
-        opts.batch.pool_slabs = n;
-    }
+    apply_batch(&mut opts.batch, args.batch, args.pool);
 
     let node = match Node::spawn(args.bind, args.mode, opts) {
         Ok(n) => n,

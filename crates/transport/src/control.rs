@@ -25,235 +25,18 @@
 //! golden test pins it. `stats` is the one deliberately non-pinned reply
 //! (its counters are live).
 //!
-//! The parser below is a deliberately minimal recursive-descent JSON
-//! reader: the transport crate sits below the simulator's CLI (which owns
-//! the repo's full JSON helper), and pulling a dependency edge upward for
-//! thirty lines of parsing would invert the layering.
+//! Lines are read with the workspace's one JSON parser, [`obs::json`],
+//! whose nesting bound turns a hostile line into an error reply rather
+//! than a stack overflow. Its syntax errors (`unexpected input at byte 0`)
+//! are part of the pinned reply stream.
 
 use crate::hub::HubHandle;
-use std::fmt::Write as _;
+use obs::json::{escape, Json};
 use std::net::SocketAddr;
 
 /// Longest `send` text accepted: with the SRM message header and the
 /// envelope around it, an ADU this size still fits one UDP datagram.
 pub const MAX_SEND_TEXT: usize = 65_000;
-
-/// A parsed JSON value (just enough of the grammar for the control plane).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Jv {
-    /// String.
-    S(String),
-    /// Number (always f64, as in JSON).
-    N(f64),
-    /// Boolean.
-    B(bool),
-    /// null.
-    Null,
-    /// Array.
-    A(Vec<Jv>),
-    /// Object, in source order.
-    O(Vec<(String, Jv)>),
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", c as char, self.i))
-        }
-    }
-
-    fn lit(&mut self, s: &str, v: Jv) -> Result<Jv, String> {
-        if self.b[self.i..].starts_with(s.as_bytes()) {
-            self.i += s.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-
-    fn value(&mut self) -> Result<Jv, String> {
-        self.ws();
-        match self.peek() {
-            Some(b'"') => Ok(Jv::S(self.string()?)),
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b't') => self.lit("true", Jv::B(true)),
-            Some(b'f') => self.lit("false", Jv::B(false)),
-            Some(b'n') => self.lit("null", Jv::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.i)),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut s = String::new();
-        loop {
-            let c = self.peek().ok_or("unterminated string")?;
-            self.i += 1;
-            match c {
-                b'"' => return Ok(s),
-                b'\\' => {
-                    let e = self.peek().ok_or("unterminated escape")?;
-                    self.i += 1;
-                    match e {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b't' => s.push('\t'),
-                        b'r' => s.push('\r'),
-                        b'b' => s.push('\u{8}'),
-                        b'f' => s.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.i..self.i + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            self.i += 4;
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape `\\{}`", other as char)),
-                    }
-                }
-                _ => {
-                    // Re-borrow from the byte after the opener: multi-byte
-                    // UTF-8 sequences must survive intact.
-                    let start = self.i - 1;
-                    let mut end = self.i;
-                    while end < self.b.len() && self.b[end] != b'"' && self.b[end] != b'\\' {
-                        end += 1;
-                    }
-                    s.push_str(
-                        std::str::from_utf8(&self.b[start..end])
-                            .map_err(|_| "invalid utf-8 in string")?,
-                    );
-                    self.i = end;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Jv, String> {
-        let start = self.i;
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || c == b'.' || c == b'e' || c == b'E' || c == b'+' || c == b'-')
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Jv::N)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn array(&mut self) -> Result<Jv, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Jv::A(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Jv::A(items));
-                }
-                _ => return Err("expected `,` or `]` in array".into()),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Jv, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Jv::O(fields));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Jv::O(fields));
-                }
-                _ => return Err("expected `,` or `}` in object".into()),
-            }
-        }
-    }
-}
-
-/// Parse one JSON value from `input` (trailing whitespace allowed).
-pub fn parse_json(input: &str) -> Result<Jv, String> {
-    let mut p = Parser { b: input.as_bytes(), i: 0 };
-    let v = p.value()?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing input at byte {}", p.i));
-    }
-    Ok(v)
-}
-
-/// Escape `s` for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Everything needed to host one group: identity, mesh, quota, seeding.
 #[derive(Clone, Debug)]
@@ -308,65 +91,61 @@ pub enum Command {
     Stop,
 }
 
-fn field<'a>(fields: &'a [(String, Jv)], name: &str) -> Option<&'a Jv> {
-    fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-}
-
-fn need_u32(fields: &[(String, Jv)], name: &str) -> Result<u32, String> {
-    match field(fields, name) {
-        Some(Jv::N(n)) if *n >= 0.0 && n.fract() == 0.0 && *n <= u32::MAX as f64 => Ok(*n as u32),
+fn need_u32(cmd: &Json, name: &str) -> Result<u32, String> {
+    match cmd.get(name) {
+        Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 && *n <= u32::MAX as f64 => Ok(*n as u32),
         Some(_) => Err(format!("`{name}` must be a non-negative integer")),
         None => Err(format!("missing field `{name}`")),
     }
 }
 
-fn opt_u64(fields: &[(String, Jv)], name: &str) -> Result<Option<u64>, String> {
-    match field(fields, name) {
-        Some(Jv::N(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(Some(*n as u64)),
+fn opt_u64(cmd: &Json, name: &str) -> Result<Option<u64>, String> {
+    match cmd.get(name) {
+        Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(Some(*n as u64)),
         Some(_) => Err(format!("`{name}` must be a non-negative integer")),
         None => Ok(None),
     }
 }
 
-fn opt_f64(fields: &[(String, Jv)], name: &str) -> Result<Option<f64>, String> {
-    match field(fields, name) {
-        Some(Jv::N(n)) if *n > 0.0 => Ok(Some(*n)),
+fn opt_f64(cmd: &Json, name: &str) -> Result<Option<f64>, String> {
+    match cmd.get(name) {
+        Some(Json::Num(n)) if *n > 0.0 => Ok(Some(*n)),
         Some(_) => Err(format!("`{name}` must be a positive number")),
         None => Ok(None),
     }
 }
 
+fn need_str(cmd: &Json, name: &str) -> Result<String, String> {
+    match cmd.get(name) {
+        Some(Json::Str(s)) => Ok(s.clone()),
+        Some(_) => Err(format!("`{name}` must be a string")),
+        None => Err(format!("missing field `{name}`")),
+    }
+}
+
 /// Parse one control line into a [`Command`].
 pub fn parse_command(line: &str) -> Result<Command, String> {
-    let Jv::O(fields) = parse_json(line)? else {
+    let f = Json::parse(line).map_err(|e| e.to_string())?;
+    if f.as_obj().is_none() {
         return Err("not a JSON object".into());
-    };
-    let cmd = match field(&fields, "cmd") {
-        Some(Jv::S(s)) => s.clone(),
-        Some(_) => return Err("`cmd` must be a string".into()),
-        None => return Err("missing field `cmd`".into()),
-    };
+    }
+    let cmd = need_str(&f, "cmd")?;
     match cmd.as_str() {
         "create" | "join" => {
-            let group = need_u32(&fields, "group")?;
+            let group = need_u32(&f, "group")?;
             let mut peers = Vec::new();
-            match field(&fields, "peers") {
-                Some(Jv::A(items)) => {
-                    for it in items {
-                        let Jv::S(s) = it else {
-                            return Err("`peers` must be an array of addresses".into());
-                        };
-                        peers.push(
-                            s.parse::<SocketAddr>()
-                                .map_err(|_| format!("bad peer address `{s}`"))?,
-                        );
-                    }
+            if let Some(list) = f.get("peers") {
+                let bad = || "`peers` must be an array of addresses".to_string();
+                for it in list.as_arr().ok_or_else(bad)? {
+                    let s = it.as_str().ok_or_else(bad)?;
+                    peers.push(
+                        s.parse::<SocketAddr>()
+                            .map_err(|_| format!("bad peer address `{s}`"))?,
+                    );
                 }
-                Some(_) => return Err("`peers` must be an array of addresses".into()),
-                None => {}
             }
-            let id = opt_u64(&fields, "id")?.unwrap_or(1);
-            let members = opt_u64(&fields, "members")?
+            let id = opt_u64(&f, "id")?.unwrap_or(1);
+            let members = opt_u64(&f, "members")?
                 .map(|m| m as usize)
                 .unwrap_or(peers.len() + 1)
                 .max(1);
@@ -376,29 +155,25 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
                     peers,
                     id,
                     members,
-                    rate: opt_f64(&fields, "rate")?,
-                    burst: opt_f64(&fields, "burst")?,
-                    dist_ms: opt_u64(&fields, "dist_ms")?,
+                    rate: opt_f64(&f, "rate")?,
+                    burst: opt_f64(&f, "burst")?,
+                    dist_ms: opt_u64(&f, "dist_ms")?,
                 },
                 idempotent: cmd == "join",
             })
         }
         "send" => {
-            let group = need_u32(&fields, "group")?;
-            let text = match field(&fields, "text") {
-                Some(Jv::S(s)) => s.clone(),
-                Some(_) => return Err("`text` must be a string".into()),
-                None => return Err("missing field `text`".into()),
-            };
+            let group = need_u32(&f, "group")?;
+            let text = need_str(&f, "text")?;
             if text.len() > MAX_SEND_TEXT {
                 return Err(format!(
                     "`text` longer than {MAX_SEND_TEXT} bytes does not fit one datagram"
                 ));
             }
-            let count = opt_u64(&fields, "count")?.unwrap_or(1).clamp(1, 100_000) as u32;
+            let count = opt_u64(&f, "count")?.unwrap_or(1).clamp(1, 100_000) as u32;
             Ok(Command::Send { group, text, count })
         }
-        "drain" => Ok(Command::Drain { group: need_u32(&fields, "group")? }),
+        "drain" => Ok(Command::Drain { group: need_u32(&f, "group")? }),
         "stats" => Ok(Command::Stats),
         "stop" => Ok(Command::Stop),
         other => Err(format!("unknown cmd `{other}`")),
@@ -413,7 +188,7 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
 pub fn handle_line(hub: &HubHandle, line: &str) -> String {
     let cmd = match parse_command(line) {
         Ok(c) => c,
-        Err(e) => return format!("{{\"ok\":false,\"error\":\"{}\"}}", json_escape(&e)),
+        Err(e) => return format!("{{\"ok\":false,\"error\":\"{}\"}}", escape(&e)),
     };
     match cmd {
         Command::Create { spec, idempotent } => {
@@ -433,22 +208,22 @@ pub fn handle_line(hub: &HubHandle, line: &str) -> String {
                         )
                     }
                 }
-                Err(e) => format!("{{\"ok\":false,\"error\":\"{}\"}}", json_escape(&e)),
+                Err(e) => format!("{{\"ok\":false,\"error\":\"{}\"}}", escape(&e)),
             }
         }
         Command::Send { group, text, count } => match hub.send(group, &text, count) {
             Ok(last) => format!(
                 "{{\"ok\":true,\"cmd\":\"send\",\"group\":{group},\"count\":{count},\"last\":\"{}\"}}",
-                json_escape(&last)
+                escape(&last)
             ),
-            Err(e) => format!("{{\"ok\":false,\"error\":\"{}\"}}", json_escape(&e)),
+            Err(e) => format!("{{\"ok\":false,\"error\":\"{}\"}}", escape(&e)),
         },
         Command::Drain { group } => match hub.drain(group) {
             Ok(out) => format!(
                 "{{\"ok\":true,\"cmd\":\"drain\",\"group\":{group},\"data_sent\":{},\"delivered\":{}}}",
                 out.data_sent, out.delivered
             ),
-            Err(e) => format!("{{\"ok\":false,\"error\":\"{}\"}}", json_escape(&e)),
+            Err(e) => format!("{{\"ok\":false,\"error\":\"{}\"}}", escape(&e)),
         },
         Command::Stats => hub.stats().to_json_line(),
         Command::Stop => {
@@ -534,25 +309,10 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrips_escapes() {
-        let v = parse_json(r#"{"a":"x\n\"y\"","b":[1,2.5,-3],"c":true,"d":null}"#).unwrap();
-        let Jv::O(fields) = v else { panic!() };
-        assert_eq!(field(&fields, "a"), Some(&Jv::S("x\n\"y\"".into())));
+    fn refuses_deep_nesting_without_overflowing() {
         assert_eq!(
-            field(&fields, "b"),
-            Some(&Jv::A(vec![Jv::N(1.0), Jv::N(2.5), Jv::N(-3.0)]))
+            parse_command(&"[".repeat(100_000)).unwrap_err(),
+            "nesting deeper than 64 at byte 64"
         );
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        // Escaped output parses back to the original.
-        let s = "weird \"payload\"\twith\nnewlines";
-        let line = format!("{{\"t\":\"{}\"}}", json_escape(s));
-        let Jv::O(f) = parse_json(&line).unwrap() else { panic!() };
-        assert_eq!(field(&f, "t"), Some(&Jv::S(s.into())));
-    }
-
-    #[test]
-    fn parses_unicode_and_utf8_strings() {
-        let Jv::O(f) = parse_json(r#"{"t":"café — ünïcode"}"#).unwrap() else { panic!() };
-        assert_eq!(field(&f, "t"), Some(&Jv::S("café — ünïcode".into())));
     }
 }

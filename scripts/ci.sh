@@ -105,7 +105,7 @@ cargo build --release -p srm-bench --bin live
 echo "== live-path regression gate (best-of-5 re-measure vs committed BENCH_9.json) =="
 ./target/release/live check --against BENCH_9.json --tolerance 1.25
 
-echo "== srm-hub smoke (4 groups via control TCP, delivery + clean drain) =="
+echo "== srm-hub smoke (4 groups via control TCP, delivery + clean drain, hostile line) =="
 cargo build --release -p srm-transport --bin srm-hub
 # One hub process hosts four groups; each group has a standalone srm-node
 # receiver that prints whatever it delivers. The whole drive — create,
@@ -129,6 +129,9 @@ done
 for g in 1 2 3 4; do
     printf '{"cmd":"send","group":%d,"text":"hub-smoke-g%d","count":3}\n' "$g" "$g" >&9
 done
+# A hostile line, 100,000 nested `[`: the bounded parser must answer it
+# with one error reply instead of overflowing the stack and aborting.
+{ head -c 100000 /dev/zero | tr '\0' '['; echo; } >&9
 sleep 3
 for g in 1 2 3 4; do printf '{"cmd":"drain","group":%d}\n' "$g" >&9; done
 printf '{"cmd":"stop"}\n' >&9
@@ -146,6 +149,8 @@ done
     || { echo "srm-hub smoke: control plane did not ack 4 clean drains" >&2; exit 1; }
 grep -q '"ok":true,"cmd":"stop"' target/ci_hub_ctrl.out \
     || { echo "srm-hub smoke: hub never acked stop" >&2; exit 1; }
+[ "$(grep -c '"ok":false' target/ci_hub_ctrl.out)" -eq 1 ] \
+    || { echo "srm-hub smoke: hostile control line did not get exactly one error reply" >&2; exit 1; }
 
 echo "== benchmark smoke (each srmbench workload, 1 s traced run, outputs checked) =="
 # srmbench builds itself from source; its last stdout line is the JSON

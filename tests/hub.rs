@@ -19,8 +19,9 @@
 //!    `tests/golden/hub_control.jsonl` byte-for-byte, including malformed
 //!    commands and duplicate-group errors.
 //!
-//! Plus the satellite check that a standalone node counts (rather than
-//! silently eats) well-formed frames for groups it never joined.
+//! Plus the satellite checks that a standalone node counts (rather than
+//! silently eats) well-formed frames for groups it never joined, and that
+//! a hostile control line gets an error reply instead of aborting the hub.
 
 use bytes::Bytes;
 use netsim::GroupId;
@@ -418,4 +419,24 @@ fn oversized_send_is_refused_and_the_shard_keeps_serving() {
     hub.shutdown();
     drop(rx_a.shutdown());
     drop(rx_b.shutdown());
+}
+
+/// A control line nested 100,000 levels deep gets an error reply: the
+/// parser bounds its recursion instead of overflowing the stack, which
+/// would abort the hub and every group it hosts. The hub still answers.
+#[test]
+fn hostile_nesting_on_the_control_plane_is_refused_and_the_hub_keeps_serving() {
+    let hub = Hub::spawn(
+        "127.0.0.1:0".parse().unwrap(),
+        HubOptions {
+            shards: 2,
+            ..HubOptions::default()
+        },
+    )
+    .unwrap();
+    let reply = handle_line(&hub, &"[".repeat(100_000));
+    assert_eq!(reply, r#"{"ok":false,"error":"nesting deeper than 64 at byte 64"}"#);
+    let stats = handle_line(&hub, r#"{"cmd":"stats"}"#);
+    assert!(stats.starts_with(r#"{"ok":true,"cmd":"stats","hub":{"#), "{stats}");
+    hub.shutdown();
 }
