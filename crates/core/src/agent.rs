@@ -78,6 +78,8 @@ pub struct SrmAgent {
     requests: BTreeMap<AduName, RequestState>,
     repairs: BTreeMap<AduName, RepairState>,
     hold_down_until: BTreeMap<AduName, SimTime>,
+    /// Size of `hold_down_until` after its last sweep of expired entries.
+    hold_down_swept_len: usize,
     /// TTL used in our most recent request for each ADU (for the two-step
     /// repair re-multicast).
     request_ttls: BTreeMap<AduName, u8>,
@@ -171,6 +173,7 @@ impl SrmAgent {
             requests: BTreeMap::new(),
             repairs: BTreeMap::new(),
             hold_down_until: BTreeMap::new(),
+            hold_down_swept_len: 0,
             request_ttls: BTreeMap::new(),
             request_timers: BTreeMap::new(),
             repair_timers: BTreeMap::new(),
@@ -867,6 +870,8 @@ impl SrmAgent {
     }
 
     fn repair_timer_fired(&mut self, ctx: &mut dyn Driver, name: AduName) {
+        // Taken before any early return, so no path leaves it behind.
+        let reply_group = self.repair_reply_groups.remove(&name);
         let Some(mut st) = self.repairs.remove(&name) else {
             return;
         };
@@ -902,10 +907,7 @@ impl SrmAgent {
         });
         let opts = self.repair_opts(st.request_ttl, st.request_admin_scoped);
         let class = self.recovery_class(name.page);
-        let group = self
-            .repair_reply_groups
-            .remove(&name)
-            .unwrap_or(self.group);
+        let group = reply_group.unwrap_or(self.group);
         self.transmit_to(ctx, group, body, class, opts);
         self.metrics.repairs_sent += 1;
         self.obs
@@ -924,6 +926,14 @@ impl SrmAgent {
         self.obs
             .record(now, adu_key(name), obs::EventKind::HoldDownEntered { until });
         self.hold_down_until.insert(name, until);
+        // The only read is `now < until` and time never runs backwards, so
+        // an expired entry acts exactly like an absent one. Sweeping them
+        // whenever the map has doubled since the last sweep keeps it within
+        // twice its live size at amortised O(1) per insert.
+        if self.hold_down_until.len() > 2 * self.hold_down_swept_len {
+            self.hold_down_until.retain(|_, until| now < *until);
+            self.hold_down_swept_len = self.hold_down_until.len();
+        }
     }
 
     // ---- internals: message handlers -----------------------------------------
@@ -1000,6 +1010,7 @@ impl SrmAgent {
                 }
                 let st2 = st.clone();
                 if let Some(h) = self.repair_timers.remove(&name) {
+                    self.repair_reply_groups.remove(&name);
                     self.disarm(ctx, h);
                     self.obs.record(
                         ctx.now(),
@@ -2027,6 +2038,101 @@ mod tests {
         let now = sim.now();
         let bw = sim.app_mut(NodeId(0)).unwrap().measured_data_bandwidth(now);
         assert!(bw > 300.0 && bw < 3000.0, "measured {bw} B/s");
+    }
+
+    /// A star of `leaves` leaves around hub node 0, every node a member with
+    /// true distances (1 s per link) and deterministic timers (C2 = D2 = 0):
+    /// the hub, one hop from any requester, always answers first and its
+    /// repair reaches every other holder before their own timers expire.
+    fn star_session(leaves: usize) -> Simulator<SrmAgent> {
+        let mut cfg = SrmConfig::fixed(leaves + 1);
+        cfg.timers = TimerParams {
+            c1: 1.0,
+            c2: 0.0,
+            d1: 1.0,
+            d2: 0.0,
+        };
+        let mut sim = Simulator::new(netsim::generators::star(leaves), 5);
+        for i in 0..=leaves as u64 {
+            let mut a = SrmAgent::new(SourceId(i), GROUP, cfg.clone());
+            a.session_enabled = false;
+            a.set_current_page(page(1));
+            for j in (0..=leaves as u64).filter(|&j| j != i) {
+                let hops = if i == 0 || j == 0 { 1 } else { 2 };
+                a.distances_mut()
+                    .set_distance(SourceId(j), SimDuration::from_secs(hops));
+            }
+            sim.install(NodeId(i as u32), a);
+            sim.join(NodeId(i as u32), GROUP);
+        }
+        sim
+    }
+
+    /// One loss round on [`star_session`]: leaf 1 sends two ADUs, the
+    /// first dropped on the hub→leaf-2 link, so leaf 2 requests it and
+    /// every other member schedules a repair.
+    fn star_loss_round(sim: &mut Simulator<SrmAgent>) {
+        let link = sim.topology().link_between(NodeId(0), NodeId(2)).unwrap();
+        sim.set_loss_model(Box::new(OneShotLinkDrop::new(link, NodeId(1), flow::DATA)));
+        for text in [&b"lost"[..], b"next"] {
+            sim.exec(NodeId(1), |a, ctx| {
+                a.send_data(ctx, page(1), Bytes::copy_from_slice(text));
+            });
+            sim.run_until(sim.now() + SimDuration::from_secs(5));
+        }
+        assert!(sim.run_until_idle(sim.now() + SimDuration::from_secs(1000)));
+    }
+
+    #[test]
+    fn suppressed_repairs_leave_no_reply_groups() {
+        let leaves = 6;
+        let mut sim = star_session(leaves);
+        for _ in 0..10 {
+            star_loss_round(&mut sim);
+            for v in sim.app_nodes() {
+                let a = sim.app(v).unwrap();
+                assert!(
+                    a.repair_reply_groups.is_empty(),
+                    "{v:?} holds reply groups at quiescence"
+                );
+            }
+        }
+        // The hub answered every round; the other holders were suppressed.
+        let hub = sim.app(NodeId(0)).unwrap();
+        assert_eq!(hub.metrics.repairs_sent, 10);
+        let suppressed: usize = (1..=leaves as u32)
+            .filter(|&i| i != 2)
+            .map(|i| {
+                let a = sim.app(NodeId(i)).unwrap();
+                a.repairs.values().filter(|r| !r.sent).count()
+            })
+            .sum();
+        assert_eq!(suppressed, 10 * (leaves - 1), "leaf holders suppressed");
+        assert!(sim.app(NodeId(2)).unwrap().metrics.all_recovered());
+    }
+
+    #[test]
+    fn expired_hold_downs_are_swept() {
+        let mut sim = star_session(4);
+        for round in 0..200 {
+            star_loss_round(&mut sim);
+            let now = sim.now();
+            for v in sim.app_nodes() {
+                let a = sim.app(v).unwrap();
+                let live = a
+                    .hold_down_until
+                    .values()
+                    .filter(|&&until| now < until)
+                    .count();
+                assert!(live >= 1, "round {round}: {v:?} has no live hold-down");
+                assert!(
+                    a.hold_down_until.len() <= 2 * live,
+                    "round {round}: {v:?} keeps {} hold-downs, {live} live",
+                    a.hold_down_until.len()
+                );
+            }
+        }
+        assert!(sim.app(NodeId(2)).unwrap().metrics.all_recovered());
     }
 
     #[test]

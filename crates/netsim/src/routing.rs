@@ -14,6 +14,10 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// The shortest-path tree rooted at one node.
+///
+/// Stored flat, one fixed-size entry per node plus one per tree edge (about
+/// 32 bytes per node), because the simulator caches one tree per sending
+/// root over topologies of a thousand nodes.
 #[derive(Clone, Debug)]
 pub struct SpTree {
     /// The root (transmitting node).
@@ -22,15 +26,21 @@ pub struct SpTree {
     /// (`SimDuration::ZERO` for the root; unreachable nodes get `u64::MAX`
     /// nanoseconds, which [`SpTree::reachable`] reports as `false`).
     dist: Vec<SimDuration>,
-    /// For each node except the root: (parent node, link to parent).
-    parent: Vec<Option<(NodeId, LinkId)>>,
-    /// Children of each node in the tree, sorted by child id.
-    children: Vec<Vec<(NodeId, LinkId)>>,
+    /// For each node: (parent node, link to parent), or [`NO_PARENT`] for
+    /// the root and unreachable nodes.
+    parent: Vec<(NodeId, LinkId)>,
+    /// Children in compressed-row form: the children of `v` are
+    /// `kids[first_child[v]..first_child[v + 1]]`, sorted by child id.
+    first_child: Vec<u32>,
+    kids: Vec<(NodeId, LinkId)>,
     /// Hop count from the root.
     hops: Vec<u32>,
 }
 
 const UNREACHABLE: u64 = u64::MAX;
+
+/// The `parent` entry of a node with no parent.
+const NO_PARENT: (NodeId, LinkId) = (NodeId(u32::MAX), LinkId(u32::MAX));
 
 impl SpTree {
     /// Dijkstra from `root` with deterministic tie-breaking: among equal
@@ -46,7 +56,7 @@ impl SpTree {
         let up = |l: LinkId| link_up.is_none_or(|m| m[l.index()]);
         let n = topo.num_nodes();
         let mut dist = vec![UNREACHABLE; n];
-        let mut parent: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
+        let mut parent = vec![NO_PARENT; n];
         let mut hops = vec![0u32; n];
         let mut settled = vec![false; n];
         // Heap entries: (dist, node, parent, link, hop). Reverse for min-heap;
@@ -64,7 +74,7 @@ impl SpTree {
             dist[vi] = d;
             hops[vi] = h;
             if p != u32::MAX {
-                parent[vi] = Some((NodeId(p), LinkId(l)));
+                parent[vi] = (NodeId(p), LinkId(l));
             }
             for &(w, link) in topo.neighbors(NodeId(v)) {
                 if !settled[w.index()] && up(link) {
@@ -73,14 +83,26 @@ impl SpTree {
                 }
             }
         }
-        let mut children: Vec<Vec<(NodeId, LinkId)>> = vec![Vec::new(); n];
-        for (v, entry) in parent.iter().enumerate() {
-            if let Some((p, l)) = *entry {
-                children[p.index()].push((NodeId(v as u32), l));
+        // Count each node's children, prefix-sum the counts into row
+        // starts, then place the children. Walking `v` upward fills every
+        // row in ascending child id, so no row needs sorting.
+        let mut first_child = vec![0u32; n + 1];
+        for &(p, _) in &parent {
+            if p != NO_PARENT.0 {
+                first_child[p.index() + 1] += 1;
             }
         }
-        for c in &mut children {
-            c.sort_unstable();
+        for i in 0..n {
+            first_child[i + 1] += first_child[i];
+        }
+        let mut next = first_child.clone();
+        let mut kids = vec![NO_PARENT; first_child[n] as usize];
+        for (v, &(p, l)) in parent.iter().enumerate() {
+            if p != NO_PARENT.0 {
+                let slot = &mut next[p.index()];
+                kids[*slot as usize] = (NodeId(v as u32), l);
+                *slot += 1;
+            }
         }
         SpTree {
             root,
@@ -95,7 +117,8 @@ impl SpTree {
                 })
                 .collect(),
             parent,
-            children,
+            first_child,
+            kids,
             hops,
         }
     }
@@ -112,24 +135,26 @@ impl SpTree {
 
     /// Whether `n` was reached by the search.
     pub fn reachable(&self, n: NodeId) -> bool {
-        n == self.root || self.parent[n.index()].is_some()
+        n == self.root || self.parent(n).is_some()
     }
 
     /// Children of `n` in the tree (sorted by id).
     pub fn children(&self, n: NodeId) -> &[(NodeId, LinkId)] {
-        &self.children[n.index()]
+        let i = n.index();
+        &self.kids[self.first_child[i] as usize..self.first_child[i + 1] as usize]
     }
 
     /// Parent of `n`, or `None` for the root / unreachable nodes.
     pub fn parent(&self, n: NodeId) -> Option<(NodeId, LinkId)> {
-        self.parent[n.index()]
+        let p = self.parent[n.index()];
+        (p != NO_PARENT).then_some(p)
     }
 
     /// The path from the root to `n` as a list of link ids.
     pub fn path_links(&self, n: NodeId) -> Vec<LinkId> {
         let mut out = Vec::new();
         let mut cur = n;
-        while let Some((p, l)) = self.parent[cur.index()] {
+        while let Some((p, l)) = self.parent(cur) {
             out.push(l);
             cur = p;
         }
@@ -140,7 +165,7 @@ impl SpTree {
     /// Whether the tree path from the root to `n` traverses `link`.
     pub fn path_uses_link(&self, n: NodeId, link: LinkId) -> bool {
         let mut cur = n;
-        while let Some((p, l)) = self.parent[cur.index()] {
+        while let Some((p, l)) = self.parent(cur) {
             if l == link {
                 return true;
             }

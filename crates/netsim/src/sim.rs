@@ -184,7 +184,9 @@ type PruneCache = HashMap<(u32, u32), (u64, Rc<GroupMasks>)>;
 /// The discrete-event simulator. Generic over the application type.
 pub struct Simulator<A: Application> {
     topo: Topology,
-    apps: Vec<Option<A>>,
+    /// One slot per topology node. Boxed so that the many router nodes
+    /// without an application cost a pointer each, not a whole app.
+    apps: Vec<Option<Box<A>>>,
     groups: BTreeMap<GroupId, BTreeSet<NodeId>>,
     membership_version: u64,
     queue: EventQueue,
@@ -338,19 +340,21 @@ impl<A: Application> Simulator<A> {
         if self.apps.len() <= node.index() {
             self.apps.resize_with(self.topo.num_nodes(), || None);
         }
-        self.apps[node.index()] = Some(app);
+        self.apps[node.index()] = Some(Box::new(app));
     }
 
     /// Shared access to the application on `node`, if any.
     pub fn app(&self, node: NodeId) -> Option<&A> {
-        self.apps.get(node.index()).and_then(|a| a.as_ref())
+        self.apps.get(node.index()).and_then(|a| a.as_deref())
     }
 
     /// Mutable access to the application on `node`, if any.
     ///
     /// Use [`Simulator::exec`] instead when the application needs a [`Ctx`].
     pub fn app_mut(&mut self, node: NodeId) -> Option<&mut A> {
-        self.apps.get_mut(node.index()).and_then(|a| a.as_mut())
+        self.apps
+            .get_mut(node.index())
+            .and_then(|a| a.as_deref_mut())
     }
 
     /// Nodes with an installed application, ascending.
@@ -399,23 +403,8 @@ impl<A: Application> Simulator<A> {
             self.node_up[node.index()],
             "exec on crashed node {node:?} (restart it first)"
         );
-        let mut app = self.apps[node.index()]
-            .take()
-            .unwrap_or_else(|| panic!("no application installed on {node:?}"));
-        let r = {
-            let mut ctx = Ctx {
-                now: self.now,
-                node,
-                local_now: self.clocks[node.index()].local_time(self.now),
-                rng: &mut self.rng,
-                actions: &mut self.actions,
-                next_timer: &mut self.next_timer,
-            };
-            f(&mut app, &mut ctx)
-        };
-        self.apps[node.index()] = Some(app);
-        self.apply_actions();
-        r
+        self.dispatch(node, f)
+            .unwrap_or_else(|| panic!("no application installed on {node:?}"))
     }
 
     /// Inject a multicast transmission from `node` without going through an
@@ -521,28 +510,29 @@ impl<A: Application> Simulator<A> {
         }
     }
 
-    /// Call an app handler and then apply its actions. No-op on a node
-    /// whose host is down.
-    fn dispatch(&mut self, node: NodeId, f: impl FnOnce(&mut A, &mut Ctx<'_>)) {
+    /// Call an app handler and then apply its actions. Runs nothing and
+    /// returns `None` on a node whose host is down or that has no
+    /// application.
+    fn dispatch<R>(
+        &mut self,
+        node: NodeId,
+        f: impl FnOnce(&mut A, &mut Ctx<'_>) -> R,
+    ) -> Option<R> {
         if !self.node_up[node.index()] {
-            return;
+            return None;
         }
-        let Some(mut app) = self.apps[node.index()].take() else {
-            return;
+        let app = self.apps[node.index()].as_deref_mut()?;
+        let mut ctx = Ctx {
+            now: self.now,
+            node,
+            local_now: self.clocks[node.index()].local_time(self.now),
+            rng: &mut self.rng,
+            actions: &mut self.actions,
+            next_timer: &mut self.next_timer,
         };
-        {
-            let mut ctx = Ctx {
-                now: self.now,
-                node,
-                local_now: self.clocks[node.index()].local_time(self.now),
-                rng: &mut self.rng,
-                actions: &mut self.actions,
-                next_timer: &mut self.next_timer,
-            };
-            f(&mut app, &mut ctx);
-        }
-        self.apps[node.index()] = Some(app);
+        let r = f(app, &mut ctx);
         self.apply_actions();
+        Some(r)
     }
 
     fn apply_actions(&mut self) {
@@ -899,7 +889,7 @@ impl<A: Application> Simulator<A> {
                 for g in gone {
                     self.leave(n, g);
                 }
-                if let Some(app) = self.apps.get_mut(n.index()).and_then(|a| a.as_mut()) {
+                if let Some(app) = self.apps.get_mut(n.index()).and_then(|a| a.as_deref_mut()) {
                     app.on_crash();
                 }
             }

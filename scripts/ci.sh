@@ -81,6 +81,10 @@ grep -q "repair" target/ci_durable.out \
     || { echo "durable rejoin smoke: ADU arrived but not via repair" >&2; exit 1; }
 rm -rf "$STORE_DIR"
 
+# Exact heap bytes of one shortest-path tree and of a G = 200 Fig-4 session.
+echo "== simulator footprint gate =="
+cargo test -q --test sim_footprint
+
 echo "== golden trace (observability JSONL pins) =="
 cargo test -q --test golden_trace
 

@@ -4,7 +4,7 @@
 
 use netsim::generators::{prufer_decode, random_connected_graph, random_labeled_tree};
 use netsim::routing::SpTree;
-use netsim::{NodeId, SimDuration, Topology, TopologyBuilder};
+use netsim::{LinkId, NodeId, SimDuration, Topology, TopologyBuilder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,6 +35,61 @@ fn floyd_warshall(topo: &Topology) -> Vec<Vec<f64>> {
     d
 }
 
+/// A shortest-path tree built the slow, obvious way, for checking
+/// [`SpTree`]'s layout: Bellman–Ford distances over the up links in integer
+/// nanoseconds, then each node's parent is the smallest `(node, link)` pair
+/// on a tight edge — the tie-break [`SpTree`] documents. With every delay
+/// positive that is the parent Dijkstra settles first.
+struct RefTree {
+    parent: Vec<Option<(NodeId, LinkId)>>,
+}
+
+impl RefTree {
+    fn build(topo: &Topology, root: NodeId, up: &[bool]) -> RefTree {
+        let n = topo.num_nodes();
+        let mut dist = vec![u64::MAX; n];
+        dist[root.index()] = 0;
+        for _ in 0..n {
+            for (_, l) in topo.links().filter(|(id, _)| up[id.index()]) {
+                let w = l.delay.as_nanos();
+                for (a, b) in [(l.a, l.b), (l.b, l.a)] {
+                    if dist[a.index()] != u64::MAX && dist[a.index()] + w < dist[b.index()] {
+                        dist[b.index()] = dist[a.index()] + w;
+                    }
+                }
+            }
+        }
+        let parent = (0..n)
+            .map(|v| {
+                if v == root.index() || dist[v] == u64::MAX {
+                    return None;
+                }
+                topo.neighbors(NodeId(v as u32))
+                    .iter()
+                    .filter(|&&(u, l)| {
+                        up[l.index()]
+                            && dist[u.index()] != u64::MAX
+                            && dist[u.index()] + topo.link(l).delay.as_nanos() == dist[v]
+                    })
+                    .copied()
+                    .min()
+            })
+            .collect();
+        RefTree { parent }
+    }
+
+    fn path_links(&self, v: NodeId) -> Vec<LinkId> {
+        let mut out = Vec::new();
+        let mut cur = v;
+        while let Some((p, l)) = self.parent[cur.index()] {
+            out.push(l);
+            cur = p;
+        }
+        out.reverse();
+        out
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -60,6 +115,53 @@ proptest! {
                 let got = spt.distance(NodeId(v as u32)).as_secs_f64();
                 prop_assert!((got - truth[root][v]).abs() < 1e-6,
                     "root {root} -> {v}: {got} vs {}", truth[root][v]);
+            }
+        }
+    }
+
+    /// The flat `SpTree` layout answers every structural query the way a
+    /// naive tree builder does, on random graphs with random failed links:
+    /// same parents, children listed by ascending id, same reachability,
+    /// root paths and downstream sets.
+    #[test]
+    fn spt_structure_matches_reference(
+        seed in 0u64..100_000,
+        n in 2usize..24,
+        extra in 0usize..12,
+        down in prop::collection::vec(0u8..4, 0..40),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let m = (n - 1 + extra).min(n * (n - 1) / 2);
+        let base = random_connected_graph(n, m, &mut rng);
+        let mut b = TopologyBuilder::new(n);
+        for (id, l) in base.links() {
+            b.link_with(l.a, l.b, SimDuration::from_secs(id.index() as u64 % 3 + 1), 1);
+        }
+        let topo = b.build();
+        let up: Vec<bool> = (0..topo.num_links()).map(|i| down.get(i) != Some(&0)).collect();
+        for root in (0..n as u32).map(NodeId) {
+            let spt = SpTree::compute_masked(&topo, root, Some(&up));
+            let reference = RefTree::build(&topo, root, &up);
+            for v in topo.nodes() {
+                prop_assert_eq!(spt.parent(v), reference.parent[v.index()], "parent of {:?}", v);
+                let kids: Vec<(NodeId, LinkId)> = topo
+                    .nodes()
+                    .filter_map(|w| match reference.parent[w.index()] {
+                        Some((p, l)) if p == v => Some((w, l)),
+                        _ => None,
+                    })
+                    .collect();
+                prop_assert_eq!(spt.children(v), &kids[..], "children of {:?}", v);
+                let reachable = v == root || reference.parent[v.index()].is_some();
+                prop_assert_eq!(spt.reachable(v), reachable, "reachability of {:?}", v);
+                prop_assert_eq!(spt.path_links(v), reference.path_links(v), "path to {:?}", v);
+            }
+            for (l, _) in topo.links() {
+                let downstream: Vec<NodeId> = topo
+                    .nodes()
+                    .filter(|&v| reference.path_links(v).contains(&l))
+                    .collect();
+                prop_assert_eq!(spt.downstream_of(l), downstream, "downstream of {:?}", l);
             }
         }
     }
