@@ -495,9 +495,6 @@ fn main() {
     if let Some(s) = args.seed {
         opts.seed = s;
     }
-    if let Some(n) = args.drop_data {
-        opts.loss = srm_transport::LossPolicy::none().drop_nth(netsim::flow::DATA, n);
-    }
     if let Some(spec) = &args.chaos {
         let peers = match &args.mode {
             Mode::Mesh { peers } => peers.clone(),
@@ -509,6 +506,10 @@ fn main() {
         }
         // Chaos without liveness tracking hides half the story.
         opts.liveness = Some(srm::LivenessConfig::default());
+    }
+    if let Some(n) = args.drop_data {
+        let plan = opts.chaos.take().unwrap_or_default();
+        opts.chaos = Some(plan.drop_nth(netsim::flow::DATA, n));
     }
     opts.store = args.store.clone();
     apply_batch(&mut opts.batch, args.batch, args.pool);
@@ -570,7 +571,9 @@ fn main() {
 
     let mut trace_sink = args.trace.as_deref().map(create_sink);
     let mut trace_events = 0usize;
-    // Drain the reactor's trace rings into the file roughly once a second.
+    // Drain the reactor's trace rings into the file roughly once a second:
+    // recovery events and transport events (the exec hands the agent the
+    // reactor's, so chaos actions and errors are on disk mid-run too).
     let drain_trace = |node: &srm_transport::NodeHandle,
                            sink: &mut Option<std::fs::File>,
                            total: &mut usize| {
@@ -580,11 +583,12 @@ fn main() {
         let mut tl = obs::Timeline::new();
         tl.add_member(member, events);
         tl.add_transport(member, transport);
-        if tl.is_empty() {
+        let jsonl = tl.to_jsonl();
+        if jsonl.is_empty() {
             return;
         }
-        *total += tl.len();
-        if write!(f, "{}", tl.to_jsonl()).and_then(|()| f.flush()).is_err() {
+        *total += jsonl.lines().count();
+        if write!(f, "{jsonl}").and_then(|()| f.flush()).is_err() {
             eprintln!("srm-node: trace write failed");
         }
     };
@@ -663,9 +667,9 @@ fn main() {
     }
     if let Some(f) = &mut trace_sink {
         // Whatever accumulated between the last drain and shutdown.
-        let tl = srm_transport::harvest_timeline(std::slice::from_mut(&mut agent));
-        trace_events += tl.len();
-        if write!(f, "{}", tl.to_jsonl()).and_then(|()| f.flush()).is_err() {
+        let jsonl = srm_transport::harvest_timeline(std::slice::from_mut(&mut agent)).to_jsonl();
+        trace_events += jsonl.lines().count();
+        if write!(f, "{jsonl}").and_then(|()| f.flush()).is_err() {
             eprintln!("srm-node: trace write failed");
             std::process::exit(1);
         }

@@ -3,11 +3,12 @@
 //! The simulator exercises SRM under faults through `netsim`'s `FaultPlan`;
 //! a [`ChaosPlan`] is the same scenario vocabulary translated to a live UDP
 //! node: Bernoulli and burst loss, duplication, reordering (frames held
-//! back on the reactor's delay queue), payload corruption, per-peer
-//! blackhole/partition windows, and delay jitter.  A [`ChaosTransport`]
-//! decorates any [`srm::Driver`] with the plan's randomized actions; the
-//! per-destination blackhole windows are RNG-free and applied on the send
-//! fan-out where destinations exist.
+//! back on the session's delay queue), payload corruption, per-peer
+//! blackhole/partition windows, delay jitter, and RNG-free drops of the
+//! nth frame of a flow. A [`ChaosState`] animates a plan for one session:
+//! [`ChaosState::filter`] is the seeded verdict every logical send meets
+//! after the quota, and the blackhole windows and drop-nth rules act
+//! RNG-free per destination on the send fan-out, where destinations exist.
 //!
 //! Determinism: [`ChaosState`] owns its own seeded RNG, separate from the
 //! protocol's timer RNG, and [`ChaosState::verdict`] makes a *fixed number
@@ -23,10 +24,10 @@
 //! phantom ADU name.
 
 use bytes::Bytes;
-use netsim::{GroupId, SendOptions, SimDuration, SimTime, TimerId};
+use netsim::{GroupId, SendOptions, SimDuration, SimTime};
+use obs::TransportEventKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use srm::{Clock, Driver, Transport};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::net::SocketAddr;
@@ -76,6 +77,20 @@ impl Blackhole {
     }
 }
 
+/// A deterministic drop: the `nth` (0-based) frame of `flow`, wherever it
+/// is headed or only towards `dest`. Mesh mode replicates a send per peer,
+/// so a per-destination rule models a lossy link to one member while the
+/// rest of the group receives normally.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct DropNth {
+    /// The flow whose frames the rule counts.
+    pub flow: u32,
+    /// The destination counted; `None` counts every destination.
+    pub dest: Option<SocketAddr>,
+    /// Which matching frame to drop (0-based).
+    pub nth: u64,
+}
+
 /// A scripted chaos schedule for one node's send path.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ChaosPlan {
@@ -96,6 +111,8 @@ pub struct ChaosPlan {
     pub bursts: Vec<BurstLoss>,
     /// Partition windows.
     pub blackholes: Vec<Blackhole>,
+    /// Deterministic nth-frame drops.
+    pub nth_drops: Vec<DropNth>,
     /// Restrict the whole plan to one multicast group: frames addressed
     /// to any other group pass through untouched *and undrawn* — they
     /// consume no RNG draws, so the verdict stream for the scoped group
@@ -165,6 +182,18 @@ impl ChaosPlan {
         self
     }
 
+    /// Drop the `nth` (0-based) frame of `flow`, wherever it is headed.
+    pub fn drop_nth(mut self, flow: u32, nth: u64) -> Self {
+        self.nth_drops.push(DropNth { flow, dest: None, nth });
+        self
+    }
+
+    /// Drop the `nth` (0-based) frame of `flow` addressed to `dest`.
+    pub fn drop_nth_to(mut self, flow: u32, dest: SocketAddr, nth: u64) -> Self {
+        self.nth_drops.push(DropNth { flow, dest: Some(dest), nth });
+        self
+    }
+
     /// Scope the plan to one multicast group; other groups' frames pass
     /// through untouched, without consuming RNG draws.
     pub fn scoped_to(mut self, group: u32) -> Self {
@@ -185,6 +214,7 @@ impl ChaosPlan {
             && self.reorder_p <= 0.0
             && self.bursts.is_empty()
             && self.blackholes.is_empty()
+            && self.nth_drops.is_empty()
     }
 
     /// The effective drop probability at `now`: the strongest active burst,
@@ -238,18 +268,26 @@ pub struct Verdict {
     pub delay: Option<SimDuration>,
 }
 
-/// A [`ChaosPlan`] plus the seeded RNG that animates it.
+/// A [`ChaosPlan`] animated for one session: the seeded RNG behind its
+/// verdicts, the frames its drop-nth rules have counted, and the frames its
+/// reorder model holds back.
 #[derive(Clone, Debug)]
 pub struct ChaosState {
     /// The schedule.
     pub plan: ChaosPlan,
     rng: StdRng,
+    /// Frames each drop-nth rule has matched, index-aligned with
+    /// `plan.nth_drops`.
+    seen: Vec<u64>,
+    /// Held-back frames, released to the fan-out by the reactor.
+    pub delayq: DelayQueue,
 }
 
 impl ChaosState {
     /// Animate `plan` with a dedicated RNG seeded by `seed`.
     pub fn new(plan: ChaosPlan, seed: u64) -> Self {
-        ChaosState { plan, rng: StdRng::seed_from_u64(seed) }
+        let seen = vec![0; plan.nth_drops.len()];
+        ChaosState { plan, rng: StdRng::seed_from_u64(seed), seen, delayq: DelayQueue::new() }
     }
 
     /// Decide one frame's fate.  Always makes exactly five RNG draws, in a
@@ -272,20 +310,67 @@ impl ChaosState {
         };
         Verdict { deliver, duplicate, corrupt, delay }
     }
-}
 
-/// Per-node tallies of chaos actions, owned by the reactor and published to
-/// the node's shared counters at each loop turn.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ChaosTally {
-    /// Frames dropped (Bernoulli + burst).
-    pub dropped: u64,
-    /// Extra copies sent.
-    pub duplicated: u64,
-    /// Frames held back on the delay queue.
-    pub delayed: u64,
-    /// Frames damaged before sending.
-    pub corrupted: u64,
+    /// The send filter for one logical multicast to `group`: run the
+    /// verdict, corrupt `payload` in place if it says so, and hold delayed
+    /// copies on [`ChaosState::delayq`]. Returns how many copies go to the
+    /// fan-out now (0 dropped or held, 1, or 2 duplicated). Each action is
+    /// reported to `note` as the transport event that records it.
+    pub fn filter(
+        &mut self,
+        now: SimTime,
+        group: GroupId,
+        payload: &mut Bytes,
+        opts: &SendOptions,
+        mut note: impl FnMut(TransportEventKind),
+    ) -> usize {
+        // A group-scoped plan ignores other groups' frames entirely —
+        // crucially *before* the verdict draws, so scoping does not shift
+        // the RNG stream the scoped group's frames see.
+        if !self.plan.applies_to(group) {
+            return 1;
+        }
+        let flow = opts.flow;
+        let v = self.verdict(now);
+        if !v.deliver {
+            note(TransportEventKind::ChaosDrop { flow });
+            return 0;
+        }
+        if v.corrupt {
+            note(TransportEventKind::ChaosCorrupt { flow });
+            *payload = corrupt_payload(payload);
+        }
+        let copies = 1 + usize::from(v.duplicate);
+        if let Some(by) = v.delay {
+            note(TransportEventKind::ChaosDelay { flow, by });
+        }
+        if v.duplicate {
+            note(TransportEventKind::ChaosDuplicate { flow });
+        }
+        match v.delay {
+            Some(by) => {
+                for _ in 0..copies {
+                    self.delayq.push(now + by, group, payload.clone(), opts.clone());
+                }
+                0
+            }
+            None => copies,
+        }
+    }
+
+    /// Does a drop-nth rule take this frame of `flow` towards `dest`?
+    /// RNG-free. Every matching rule counts the frame; `dest` is `None` in
+    /// multicast mode, where only destination-less rules apply.
+    pub fn drops_nth(&mut self, flow: u32, dest: Option<SocketAddr>) -> bool {
+        let mut drop = false;
+        for (r, seen) in self.plan.nth_drops.iter().zip(&mut self.seen) {
+            if r.flow == flow && (r.dest.is_none() || r.dest == dest) {
+                drop |= *seen == r.nth;
+                *seen += 1;
+            }
+        }
+        drop
+    }
 }
 
 /// A frame held back by the reorder model, due for release at `due`.
@@ -304,7 +389,7 @@ pub struct DelayedSend {
 }
 
 /// Min-queue of held-back frames, ordered by `(due, seq)`.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct DelayQueue {
     heap: BinaryHeap<Reverse<(u64, u64)>>,
     items: std::collections::BTreeMap<u64, DelayedSend>,
@@ -363,100 +448,6 @@ pub fn corrupt_payload(payload: &Bytes) -> Bytes {
         Bytes::from(v)
     } else {
         Bytes::new()
-    }
-}
-
-/// Decorates a [`Driver`] with a [`ChaosPlan`]'s frame-level actions.
-///
-/// Dropped/duplicated/corrupted frames are decided here; reordered frames
-/// go onto the reactor-owned [`DelayQueue`] (released by the reactor loop
-/// straight to the socket, so a frame is acted on at most once).  Every
-/// action is tallied and, when a log is attached, recorded as a typed
-/// transport event.
-pub struct ChaosTransport<'a, D: Driver> {
-    /// The real driver.
-    pub inner: &'a mut D,
-    /// Seeded chaos decisions.
-    pub state: &'a mut ChaosState,
-    /// Reactor-owned hold-back queue.
-    pub delayq: &'a mut DelayQueue,
-    /// Action tallies.
-    pub tally: &'a mut ChaosTally,
-    /// Typed event log (may be disabled).
-    pub log: &'a mut obs::TransportLog,
-}
-
-impl<D: Driver> Clock for ChaosTransport<'_, D> {
-    fn now(&self) -> SimTime {
-        self.inner.now()
-    }
-
-    fn local_now(&self) -> SimTime {
-        self.inner.local_now()
-    }
-}
-
-impl<D: Driver> Transport for ChaosTransport<'_, D> {
-    fn multicast(&mut self, group: GroupId, payload: Bytes, opts: SendOptions) {
-        // A group-scoped plan ignores other groups' frames entirely —
-        // crucially *before* the verdict draws, so scoping does not shift
-        // the RNG stream the scoped group's frames see.
-        if !self.state.plan.applies_to(group) {
-            self.inner.multicast(group, payload, opts);
-            return;
-        }
-        let now = self.inner.now();
-        let v = self.state.verdict(now);
-        if !v.deliver {
-            self.tally.dropped += 1;
-            self.log.record(now, obs::TransportEventKind::ChaosDrop { flow: opts.flow });
-            return;
-        }
-        let payload = if v.corrupt {
-            self.tally.corrupted += 1;
-            self.log.record(now, obs::TransportEventKind::ChaosCorrupt { flow: opts.flow });
-            corrupt_payload(&payload)
-        } else {
-            payload
-        };
-        if let Some(by) = v.delay {
-            self.tally.delayed += 1;
-            self.log.record(
-                now,
-                obs::TransportEventKind::ChaosDelay { flow: opts.flow, by },
-            );
-            self.delayq.push(now + by, group, payload.clone(), opts.clone());
-            if v.duplicate {
-                self.tally.duplicated += 1;
-                self.log
-                    .record(now, obs::TransportEventKind::ChaosDuplicate { flow: opts.flow });
-                self.delayq.push(now + by, group, payload, opts);
-            }
-            return;
-        }
-        self.inner.multicast(group, payload.clone(), opts.clone());
-        if v.duplicate {
-            self.tally.duplicated += 1;
-            self.log
-                .record(now, obs::TransportEventKind::ChaosDuplicate { flow: opts.flow });
-            self.inner.multicast(group, payload, opts);
-        }
-    }
-
-    fn join(&mut self, group: GroupId) {
-        self.inner.join(group);
-    }
-
-    fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
-        self.inner.set_timer(delay, token)
-    }
-
-    fn cancel_timer(&mut self, id: TimerId) {
-        self.inner.cancel_timer(id);
-    }
-
-    fn rng(&mut self) -> &mut StdRng {
-        self.inner.rng()
     }
 }
 
@@ -569,6 +560,7 @@ fn parse_window(s: &str) -> Result<(SimTime, SimTime), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::flow;
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
@@ -719,18 +711,45 @@ mod tests {
             .reorder(0.4, SimDuration::from_millis(30))
             .scoped_to(7);
         let mut mixed = ChaosState::new(plan.clone(), 99);
-        let mut alone = ChaosState::new(plan.clone(), 99);
+        let mut alone = ChaosState::new(plan, 99);
+        let opts = SendOptions::default();
         for i in 0..200u64 {
             let now = t(i * 3);
             if i % 3 == 0 {
                 // Group 7's frame: both runs draw.
                 assert_eq!(mixed.verdict(now), alone.verdict(now), "frame {i}");
             } else {
-                // Another group's frame: the mixed run must *not* draw —
-                // modelled here by simply not calling verdict, which is
-                // exactly what `applies_to` gates in ChaosTransport.
-                assert!(!plan.applies_to(GroupId(9)));
+                // Another group's frame passes the filter untouched, as
+                // one copy, without drawing or acting.
+                let mut payload = Bytes::from_static(b"other group");
+                let copies = mixed.filter(now, GroupId(9), &mut payload, &opts, |k| {
+                    panic!("acted on another group's frame: {k:?}")
+                });
+                assert_eq!(copies, 1);
+                assert_eq!(payload.as_ref(), b"other group");
             }
         }
+    }
+
+    #[test]
+    fn drop_nth_counts_per_rule() {
+        let mut s = ChaosState::new(ChaosPlan::new().drop_nth(flow::DATA, 1), 0);
+        assert!(!s.drops_nth(flow::DATA, None));
+        assert!(s.drops_nth(flow::DATA, None));
+        assert!(!s.drops_nth(flow::DATA, None));
+        assert!(!s.drops_nth(flow::SESSION, None));
+    }
+
+    #[test]
+    fn drop_nth_per_destination() {
+        let a: SocketAddr = "127.0.0.1:1000".parse().unwrap();
+        let b: SocketAddr = "127.0.0.1:2000".parse().unwrap();
+        let mut s = ChaosState::new(ChaosPlan::new().drop_nth_to(flow::DATA, b, 0), 0);
+        assert!(!s.drops_nth(flow::DATA, Some(a)));
+        assert!(s.drops_nth(flow::DATA, Some(b)));
+        assert!(!s.drops_nth(flow::DATA, Some(b)));
+        // Multicast sends (no destination) never match a per-dest rule.
+        let mut q = ChaosState::new(ChaosPlan::new().drop_nth_to(flow::DATA, b, 0), 0);
+        assert!(!q.drops_nth(flow::DATA, None));
     }
 }

@@ -25,7 +25,8 @@ impl Harness {
     ///
     /// `customize` runs once per node before spawn with the node's index,
     /// the full address list (index-aligned, e.g. for per-destination
-    /// [`crate::LossPolicy`] rules), and the default options to amend.
+    /// [`crate::ChaosPlan::drop_nth_to`] rules), and the default options to
+    /// amend.
     pub fn loopback<F>(
         n: usize,
         group: GroupId,
@@ -138,7 +139,7 @@ mod tests {
         assert_eq!(got.len(), 1, "ADU did not arrive over loopback UDP");
         assert_eq!(got[0].name, name);
         assert_eq!(got[0].payload.as_ref(), b"hello, wire");
-        assert!(h.nodes[0].frames_sent() >= 1);
+        assert!(h.nodes[0].stats().frames_sent >= 1);
         let agents = h.shutdown();
         assert_eq!(agents.len(), 2);
         assert_eq!(agents[0].metrics.data_sent, 1);

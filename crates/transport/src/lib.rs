@@ -18,6 +18,9 @@
 //!   (agent, timer wheel, seeded RNG, send filters, the single
 //!   [`srm::Driver`] implementation), its send half, the GRO frame walker,
 //!   the reactor loop and the supervised receive loop.
+//! - [`ChaosPlan`] / [`ChaosState`]: scripted send-side faults — seeded
+//!   loss, duplication, corruption and reordering, blackhole windows, and
+//!   RNG-free drops of the nth frame of a flow for recovery tests.
 //! - [`Node`] / [`NodeHandle`]: one session on its own socket — receive
 //!   thread feeding a channel, reactor interleaving datagrams with
 //!   [`TimerWheel`] deadlines.
@@ -25,7 +28,6 @@
 //!   demuxed by group id to shard reactors running the same core.
 //! - [`Mode`]: real IP multicast (`join_multicast_v4`) or a unicast
 //!   loopback mesh (the CI-friendly stand-in for group delivery).
-//! - [`LossPolicy`]: deterministic send-side loss for recovery tests.
 //! - [`Harness`]: in-process multi-node loopback sessions.
 //!
 //! The `srm-node` binary wraps all of this in a CLI (`join` / `send`,
@@ -73,7 +75,7 @@ pub use batch::{
     configure_socket_buffers, enter_batch_scheduling, make_backend, BatchOptions, BatchSocket,
     PortableSocket, RecvFrame, SendFrame,
 };
-pub use chaos::{parse_spec, ChaosPlan, ChaosState, ChaosTally, ChaosTransport, DelayQueue};
+pub use chaos::{parse_spec, ChaosPlan, ChaosState, DelayQueue};
 pub use clock::WallClock;
 pub use control::{handle_line, parse_command, Command, GroupSpec};
 pub use envelope::{Envelope, EnvelopeError, EnvelopeView};
@@ -81,7 +83,7 @@ pub use harness::{harvest_summary, harvest_timeline, Harness};
 pub use hub::{shard_of, CreateOutcome, Hub, HubHandle, HubOptions, HubStats};
 pub use monitor::{GroupMonitor, MemberHealth};
 pub use pool::{BufferPool, PoolBuf};
-pub use runtime::{LossPolicy, Mode, Node, NodeHandle, NodeOptions, StoreOptions, TransportStats};
+pub use runtime::{Mode, Node, NodeHandle, NodeOptions, StoreOptions, TransportStats};
 pub use shard::{group_seed, DrainOutcome, GroupStats};
 pub use soak::{SoakOptions, SoakReport};
 pub use supervise::{

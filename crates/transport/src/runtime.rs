@@ -18,7 +18,7 @@
 //! - every agent entry point goes through the session's implementation of
 //!   the [`srm::Driver`] seam, so the protocol code that runs here is
 //!   byte-for-byte the code the simulator runs. With a [`ChaosPlan`]
-//!   configured, the chaos decorator applies the plan's scripted
+//!   configured, the session's send filter applies the plan's scripted
 //!   loss/duplication/corruption/reorder actions to every outgoing frame.
 //!
 //! Two [`Mode`]s cover deployment and CI:
@@ -34,9 +34,9 @@
 //!   127.0.0.1 mesh instead: every send is replicated to every peer, which
 //!   is exactly the group-delivery model with a one-hop star topology.
 //!
-//! A [`LossPolicy`] interposes on the send path (per-flow, optionally
-//! per-destination), giving tests a deterministic way to force the losses
-//! SRM exists to repair. Chaos blackhole windows are applied on the same
+//! The plan's drop-nth rules ([`ChaosPlan::drop_nth`], per flow and
+//! optionally per destination) give tests a deterministic way to force the
+//! losses SRM exists to repair. They and the blackhole windows act on the
 //! per-destination fan-out, RNG-free, so they never perturb the seeded
 //! chaos draw sequence.
 //!
@@ -48,7 +48,7 @@
 //! frames_attempted == frames_sent + frames_dropped + blackholed + send_errors
 //! ```
 //!
-//! (chaos drop/delay decisions act *before* the fan-out and are tallied
+//! (chaos verdict drops and delays act *before* the fan-out and are counted
 //! separately as `chaos_*`). The soak harness asserts this invariant, which
 //! is what "zero unexplained drops" means operationally.
 
@@ -100,68 +100,6 @@ impl Mode {
     }
 }
 
-/// Deterministic send-side loss: drop the `nth` outgoing frame of a flow,
-/// optionally only towards one destination (mesh mode replicates a send per
-/// peer, so per-destination rules model a lossy link to one member while
-/// the rest of the group receives normally).
-#[derive(Debug, Default)]
-pub struct LossPolicy {
-    rules: Vec<LossRule>,
-}
-
-#[derive(Debug)]
-struct LossRule {
-    flow: u32,
-    dest: Option<SocketAddr>,
-    nth: u64,
-    seen: u64,
-}
-
-impl LossPolicy {
-    /// No loss.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Drop the `nth` (0-based) frame of `flow`, wherever it is headed.
-    pub fn drop_nth(mut self, flow: u32, nth: u64) -> Self {
-        self.rules.push(LossRule {
-            flow,
-            dest: None,
-            nth,
-            seen: 0,
-        });
-        self
-    }
-
-    /// Drop the `nth` (0-based) frame of `flow` addressed to `dest`.
-    pub fn drop_nth_to(mut self, flow: u32, dest: SocketAddr, nth: u64) -> Self {
-        self.rules.push(LossRule {
-            flow,
-            dest: Some(dest),
-            nth,
-            seen: 0,
-        });
-        self
-    }
-
-    /// Should this (flow, destination) frame be dropped? Each rule counts
-    /// the frames it matches; `dest` is `None` in multicast mode, where
-    /// only destination-less rules apply.
-    pub(crate) fn should_drop(&mut self, flow: u32, dest: Option<SocketAddr>) -> bool {
-        let mut drop = false;
-        for r in &mut self.rules {
-            if r.flow == flow && (r.dest.is_none() || r.dest == dest) {
-                if r.seen == r.nth {
-                    drop = true;
-                }
-                r.seen += 1;
-            }
-        }
-        drop
-    }
-}
-
 /// Per-node configuration for [`Node::spawn`].
 #[derive(Debug)]
 pub struct NodeOptions {
@@ -198,8 +136,6 @@ pub struct NodeOptions {
     pub initial_distances: Vec<(SourceId, SimDuration)>,
     /// Clock skew applied to this node's local timestamps.
     pub skew: SimDuration,
-    /// Send-side forced loss.
-    pub loss: LossPolicy,
     /// Scripted chaos applied to every outgoing frame.
     pub chaos: Option<ChaosPlan>,
     /// Track peer liveness from session-message silence.
@@ -247,7 +183,7 @@ impl StoreOptions {
 }
 
 impl NodeOptions {
-    /// Defaults: sessions on, no trace, no skew, no loss, no chaos, no
+    /// Defaults: sessions on, no trace, no skew, no chaos, no
     /// liveness tracking, default supervision, seed derived from the
     /// member id.
     pub fn new(id: SourceId, group: GroupId, cfg: SrmConfig) -> Self {
@@ -262,7 +198,6 @@ impl NodeOptions {
             metrics: None,
             initial_distances: Vec::new(),
             skew: SimDuration::ZERO,
-            loss: LossPolicy::none(),
             chaos: None,
             liveness: None,
             supervision: SupervisePolicy::default(),
@@ -377,7 +312,7 @@ pub struct TransportStats {
     pub frames_attempted: u64,
     /// Frames put on the wire (per peer in mesh mode).
     pub frames_sent: u64,
-    /// Frames suppressed by the [`LossPolicy`].
+    /// Per-destination frames taken by the chaos plan's drop-nth rules.
     pub frames_dropped: u64,
     /// Frames accepted from the socket (post filtering).
     pub frames_received: u64,
@@ -459,6 +394,15 @@ struct NodeHost {
     session: Session,
     rx_pool: BufferPool,
     reg: Option<RegHandles>,
+}
+
+impl NodeHost {
+    /// Move the reactor's transport events into the agent's stream: an
+    /// exec (the binary's trace drain) and the final harvest then read one
+    /// per-member sequence.
+    fn absorb_reactor_log(&mut self, tx: &mut Tx) {
+        self.session.agent.transport_obs.absorb(tx.log.take_events());
+    }
 }
 
 impl Host for NodeHost {
@@ -571,7 +515,7 @@ impl Node {
 }
 
 /// Build the node's session, run the reactor until shutdown, then flush
-/// the store and fold the reactor-side event logs into the agent.
+/// the store and fold the reactor's event log into the agent.
 fn run_node(
     tx: &mut Tx,
     mode: Mode,
@@ -592,29 +536,21 @@ fn run_node(
     }
     let mut session = Session::new(agent, opts.id.0, opts.seed, mode);
     session.core.fallback_peers = opts.fallback_peers;
-    session.core.loss = opts.loss;
     if let Some(plan) = opts.chaos {
         session.set_chaos(plan, opts.seed ^ CHAOS_SEED_SALT);
     }
     if opts.trace {
-        let chaos_log = session.chaos.as_mut().map(|c| &mut c.log);
         let agent = &mut session.agent;
         match opts.trace_capacity {
             Some(cap) => {
                 agent.obs.enable_bounded(cap);
                 agent.transport_obs.enable_bounded(cap);
                 tx.log.enable_bounded(cap);
-                if let Some(l) = chaos_log {
-                    l.enable_bounded(cap);
-                }
             }
             None => {
                 agent.obs.enable();
                 agent.transport_obs.enable();
                 tx.log.enable();
-                if let Some(l) = chaos_log {
-                    l.enable();
-                }
             }
         }
     }
@@ -631,10 +567,8 @@ fn run_node(
     // exit loses nothing regardless of the fsync policy.
     host.session.agent.flush_store();
     host.publish(tx);
-    let mut session = host.session;
     // Pin the queue peaks into the offline event stream (no-op when the log
-    // is disabled), then merge the reactor-side logs into the agent's
-    // transport stream so one per-member event sequence survives harvesting.
+    // is disabled), then hand the agent the reactor's remaining events.
     tx.log.record(
         tx.clock.now(),
         obs::TransportEventKind::QueueHighWater {
@@ -642,27 +576,17 @@ fn run_node(
             delayq: tx.counters.max_delayq_len.load(Ordering::Relaxed),
         },
     );
-    let mut extra = tx.log.take_events();
-    if let Some(c) = &mut session.chaos {
-        extra.extend(c.log.take_events());
-    }
-    session.agent.transport_obs.absorb(extra);
-    session.agent
+    host.absorb_reactor_log(tx);
+    host.session.agent
 }
 
-/// Publish the reactor-owned tallies and high-water marks to the shared
-/// atomic counters (the tallies are cumulative, so a store is correct),
-/// and refresh the registry mirrors when one is attached.
+/// Publish the reactor's queue high-water marks to the shared atomic
+/// counters, and refresh the registry mirrors when one is attached.
 fn publish_reactor_counters(s: &Session, tx: &Tx, rx_pool: &BufferPool, reg: Option<&RegHandles>) {
     let counters = &tx.counters;
-    let tally = s.chaos.as_ref().map(|c| c.tally).unwrap_or_default();
     let wheel_len = s.core.wheel.len();
-    let delayq_len = s.chaos.as_ref().map_or(0, |c| c.delayq.len());
+    let delayq_len = s.core.chaos.as_ref().map_or(0, |c| c.delayq.len());
     let (liveness, store) = (&s.agent.liveness, s.agent.store());
-    counters.chaos_dropped.store(tally.dropped, Ordering::Relaxed);
-    counters.chaos_duplicated.store(tally.duplicated, Ordering::Relaxed);
-    counters.chaos_delayed.store(tally.delayed, Ordering::Relaxed);
-    counters.chaos_corrupted.store(tally.corrupted, Ordering::Relaxed);
     counters.max_wheel_len.fetch_max(wheel_len as u64, Ordering::Relaxed);
     counters.max_delayq_len.fetch_max(delayq_len as u64, Ordering::Relaxed);
     let Some(m) = reg else { return };
@@ -719,7 +643,9 @@ impl NodeHandle {
     }
 
     /// Run `f` against the live agent on the reactor thread and return its
-    /// result — the wall-clock `Simulator::exec`.
+    /// result — the wall-clock `Simulator::exec`. The reactor's transport
+    /// events (chaos actions, blackholes, errors, supervision) join the
+    /// agent's `transport_obs` first, so `f` can drain them mid-run.
     ///
     /// # Panics
     /// Panics if the runtime has already stopped.
@@ -728,7 +654,10 @@ impl NodeHandle {
         F: FnOnce(&mut SrmAgent, &mut dyn Driver) -> R + Send + 'static,
         R: Send + 'static,
     {
-        call(&self.tx, move |h: &mut NodeHost, tx| h.session.drive(tx, f))
+        call(&self.tx, move |h: &mut NodeHost, tx| {
+            h.absorb_reactor_log(tx);
+            h.session.drive(tx, f)
+        })
             .expect("node runtime is running")
             .recv()
             .expect("node runtime answered")
@@ -749,21 +678,6 @@ impl NodeHandle {
     /// Drain ADUs delivered to the application since the last call.
     pub fn take_delivered(&self) -> Vec<Delivery> {
         self.exec(|a, _| a.take_delivered())
-    }
-
-    /// Frames put on the wire (per peer in mesh mode).
-    pub fn frames_sent(&self) -> u64 {
-        self.counters.frames_sent.load(Ordering::Relaxed)
-    }
-
-    /// Frames suppressed by the [`LossPolicy`].
-    pub fn frames_dropped(&self) -> u64 {
-        self.counters.frames_dropped.load(Ordering::Relaxed)
-    }
-
-    /// Frames accepted from the socket (post filtering).
-    pub fn frames_received(&self) -> u64 {
-        self.counters.frames_received.load(Ordering::Relaxed)
     }
 
     /// Snapshot every transport counter.
@@ -795,29 +709,6 @@ impl Drop for NodeHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::flow;
-
-    #[test]
-    fn loss_policy_counts_per_rule() {
-        let mut p = LossPolicy::none().drop_nth(flow::DATA, 1);
-        assert!(!p.should_drop(flow::DATA, None));
-        assert!(p.should_drop(flow::DATA, None));
-        assert!(!p.should_drop(flow::DATA, None));
-        assert!(!p.should_drop(flow::SESSION, None));
-    }
-
-    #[test]
-    fn loss_policy_per_destination() {
-        let a: SocketAddr = "127.0.0.1:1000".parse().unwrap();
-        let b: SocketAddr = "127.0.0.1:2000".parse().unwrap();
-        let mut p = LossPolicy::none().drop_nth_to(flow::DATA, b, 0);
-        assert!(!p.should_drop(flow::DATA, Some(a)));
-        assert!(p.should_drop(flow::DATA, Some(b)));
-        assert!(!p.should_drop(flow::DATA, Some(b)));
-        // Multicast sends (no destination) never match a per-dest rule.
-        let mut q = LossPolicy::none().drop_nth_to(flow::DATA, b, 0);
-        assert!(!q.should_drop(flow::DATA, None));
-    }
 
     #[test]
     fn group_addresses_are_contiguous_from_base() {

@@ -6,9 +6,9 @@
 //!
 //! - [`Session`]: one agent with its [`TimerWheel`], seeded RNG, envelope
 //!   source id, receive sequence, [`Mode`], joined groups and send
-//!   filters (quota, chaos, blackholes, [`LossPolicy`]). It owns the single
-//!   [`srm::Driver`] implementation, so every agent entry point — start,
-//!   packet, timer, exec — goes through [`Session::drive`].
+//!   filters (quota, [`ChaosState`]). It owns the single [`srm::Driver`]
+//!   implementation, so every agent entry point — start, packet, timer,
+//!   exec — goes through [`Session::drive`].
 //! - [`Tx`]: one send half over one socket. Every logical send encodes once
 //!   into a pooled slab, fans out per destination through the filters, and
 //!   goes out in batched syscalls at [`Tx::flush`].
@@ -21,10 +21,12 @@
 //! ## Send filters and frame accounting
 //!
 //! A logical send meets the filters in one fixed order: the quota token
-//! bucket, then the chaos verdict, then — per destination — the RNG-free
-//! blackhole windows and the [`LossPolicy`]. Quota and chaos act before the
-//! fan-out and are tallied on their own; every per-destination attempt is
-//! counted exactly once:
+//! bucket, then the chaos verdict ([`ChaosState::filter`]), then — per
+//! destination — the plan's RNG-free blackhole windows and drop-nth rules.
+//! A group-scoped plan applies none of its rules to other groups' frames.
+//! Every chaos action is counted and logged where it is decided. Quota and
+//! the verdict act before the fan-out and are counted on their own; every
+//! per-destination attempt is counted exactly once:
 //!
 //! ```text
 //! frames_attempted == frames_sent + frames_dropped + blackholed + send_errors
@@ -35,11 +37,11 @@
 //! and nothing panics.
 
 use crate::batch::{make_backend, BatchOptions, BatchSocket, RecvFrame, SendFrame};
-use crate::chaos::{Blackhole, ChaosPlan, ChaosState, ChaosTally, ChaosTransport, DelayQueue};
+use crate::chaos::{ChaosPlan, ChaosState};
 use crate::clock::WallClock;
 use crate::envelope::{Envelope, EnvelopeError, EnvelopeView, HEADER_LEN, MAX_PAYLOAD};
 use crate::pool::{BufferPool, PoolBuf};
-use crate::runtime::{LossPolicy, Mode};
+use crate::runtime::Mode;
 use crate::supervise::{
     run_supervised, ExitReason, StepOutcome, SupervisePolicy, SupervisionEvent,
 };
@@ -341,6 +343,21 @@ impl Tx {
     /// Count (and sample to stderr) a well-formed frame for a group no
     /// session here has joined — almost always a misconfigured peer, or a
     /// hub group that was never created.
+    /// Count and log one chaos action at the point it is decided.
+    fn chaos_action(&mut self, at: SimTime, kind: obs::TransportEventKind) {
+        use obs::TransportEventKind as K;
+        let c = &self.counters;
+        let counter = match &kind {
+            K::ChaosDrop { .. } => &c.chaos_dropped,
+            K::ChaosCorrupt { .. } => &c.chaos_corrupted,
+            K::ChaosDelay { .. } => &c.chaos_delayed,
+            K::ChaosDuplicate { .. } => &c.chaos_duplicated,
+            other => unreachable!("not a chaos action: {other:?}"),
+        };
+        bump(counter, 1);
+        self.log.record(at, kind);
+    }
+
     fn unjoined(&mut self, env: &EnvelopeView<'_>) {
         bump(&self.counters.rx_unjoined_group, 1);
         self.unjoined += 1;
@@ -360,15 +377,6 @@ pub(crate) struct Quota {
     pub refused: u64,
 }
 
-/// A chaos plan animated by its own seeded RNG, with the hold-back queue,
-/// tallies and event log the [`ChaosTransport`] decorator acts on.
-pub(crate) struct Chaos {
-    state: ChaosState,
-    pub delayq: DelayQueue,
-    pub tally: ChaosTally,
-    pub log: obs::TransportLog,
-}
-
 /// The per-session state the driver borrows for one agent entry point.
 pub(crate) struct Core {
     pub wheel: TimerWheel,
@@ -379,16 +387,16 @@ pub(crate) struct Core {
     pub joined: BTreeSet<GroupId>,
     /// Unicast peers to degrade to if a multicast join fails.
     pub fallback_peers: Vec<SocketAddr>,
-    pub loss: LossPolicy,
-    /// Chaos partition windows, applied RNG-free per destination.
-    pub blackholes: Vec<Blackhole>,
+    /// The chaos plan on this session's sends, with its own seeded RNG.
+    pub chaos: Option<ChaosState>,
     /// Logical multicasts that reached the fan-out.
     pub tx_frames: u64,
 }
 
 impl Core {
-    /// Encode once and fan out per destination through blackholes and
-    /// the loss policy. Chaos-held frames re-enter here on release.
+    /// Encode once and fan out per destination through the chaos plan's
+    /// blackhole windows and drop-nth rules. Chaos-held frames re-enter
+    /// here on release.
     fn fan_out(
         &mut self,
         tx: &mut Tx,
@@ -414,12 +422,13 @@ impl Core {
         // One per-destination attempt: the single place every outgoing
         // frame's fate is decided and counted.
         let flow = opts.flow;
-        let mut attempt = |dest: SocketAddr, policy_dest: Option<SocketAddr>, ttl: Option<u8>| {
+        let mut chaos = self.chaos.as_mut().filter(|c| c.plan.applies_to(group));
+        let mut attempt = |dest: SocketAddr, rule_dest: Option<SocketAddr>, ttl: Option<u8>| {
             bump(&tx.counters.frames_attempted, 1);
-            if self.blackholes.iter().any(|b| b.matches(now, policy_dest)) {
+            if chaos.as_ref().is_some_and(|c| c.plan.blackholed(now, rule_dest)) {
                 bump(&tx.counters.blackholed, 1);
                 tx.log.record(now, obs::TransportEventKind::Blackholed { flow });
-            } else if self.loss.should_drop(flow, policy_dest) {
+            } else if chaos.as_mut().is_some_and(|c| c.drops_nth(flow, rule_dest)) {
                 bump(&tx.counters.frames_dropped, 1);
             } else if let Some(data) = &wire {
                 tx.queue.push(PendingFrame { dest, ttl, data: Arc::clone(data) });
@@ -493,7 +502,6 @@ pub(crate) struct Session {
     pub agent: SrmAgent,
     pub core: Core,
     pub quota: Option<Quota>,
-    pub chaos: Option<Chaos>,
     rx_seq: u64,
     /// Frames handed to the agent (post filtering).
     pub rx_frames: u64,
@@ -516,12 +524,10 @@ impl Session {
                 mode,
                 joined: BTreeSet::new(),
                 fallback_peers: Vec::new(),
-                loss: LossPolicy::none(),
-                blackholes: Vec::new(),
+                chaos: None,
                 tx_frames: 0,
             },
             quota: None,
-            chaos: None,
             rx_seq: 0,
             rx_frames: 0,
             delivered: None,
@@ -529,15 +535,9 @@ impl Session {
     }
 
     /// Apply `plan` to every outgoing frame, with its own RNG seeded by
-    /// `seed`; its blackhole windows act RNG-free on the fan-out.
+    /// `seed`.
     pub(crate) fn set_chaos(&mut self, plan: ChaosPlan, seed: u64) {
-        self.core.blackholes = plan.blackholes.clone();
-        self.chaos = Some(Chaos {
-            state: ChaosState::new(plan, seed),
-            delayq: DelayQueue::new(),
-            tally: ChaosTally::default(),
-            log: obs::TransportLog::new(),
-        });
+        self.core.chaos = Some(ChaosState::new(plan, seed));
     }
 
     /// Run `f` against the agent behind this session's driver — the one
@@ -547,8 +547,8 @@ impl Session {
         tx: &mut Tx,
         f: impl FnOnce(&mut SrmAgent, &mut dyn Driver) -> R,
     ) -> R {
-        let Session { agent, core, quota, chaos, delivered, .. } = self;
-        let mut d = SessionDriver { core, tx, quota: quota.as_mut(), chaos: chaos.as_mut() };
+        let Session { agent, core, quota, delivered, .. } = self;
+        let mut d = SessionDriver { core, tx, quota: quota.as_mut() };
         let r = f(agent, &mut d);
         if let Some(n) = delivered {
             *n += agent.take_delivered().len() as u64;
@@ -594,17 +594,17 @@ impl Session {
         while let Some(token) = self.core.wheel.pop_expired(tx.clock.now()) {
             self.drive(tx, |a, d| a.drive_timer(d, token));
         }
-        if let Some(c) = &mut self.chaos {
-            while let Some(held) = c.delayq.pop_due(tx.clock.now()) {
-                let now = tx.clock.now();
-                self.core.fan_out(tx, now, held.group, held.payload, held.opts);
-            }
+        while let Some(held) =
+            self.core.chaos.as_mut().and_then(|c| c.delayq.pop_due(tx.clock.now()))
+        {
+            let now = tx.clock.now();
+            self.core.fan_out(tx, now, held.group, held.payload, held.opts);
         }
     }
 
     /// The earlier of the next timer and the next chaos release.
     pub(crate) fn next_deadline(&mut self) -> Option<SimTime> {
-        let held = self.chaos.as_ref().and_then(|c| c.delayq.next_due());
+        let held = self.core.chaos.as_ref().and_then(|c| c.delayq.next_due());
         match (self.core.wheel.next_deadline(), held) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -667,7 +667,6 @@ struct SessionDriver<'a> {
     core: &'a mut Core,
     tx: &'a mut Tx,
     quota: Option<&'a mut Quota>,
-    chaos: Option<&'a mut Chaos>,
 }
 
 impl Clock for SessionDriver<'_> {
@@ -681,7 +680,7 @@ impl Clock for SessionDriver<'_> {
 }
 
 impl Transport for SessionDriver<'_> {
-    fn multicast(&mut self, group: GroupId, payload: Bytes, opts: SendOptions) {
+    fn multicast(&mut self, group: GroupId, mut payload: Bytes, opts: SendOptions) {
         let now = self.tx.clock.now();
         // Quota gate, charged at wire size (§III-E: the sender's token
         // bucket enforces the session's advertised peak rate).
@@ -691,26 +690,16 @@ impl Transport for SessionDriver<'_> {
                 return;
             }
         }
-        match self.chaos.as_deref_mut() {
-            // The chaos decorator wraps a filter-free view of this driver,
-            // so its survivors go straight to the fan-out.
-            Some(c) => {
-                let mut plain = SessionDriver {
-                    core: &mut *self.core,
-                    tx: &mut *self.tx,
-                    quota: None,
-                    chaos: None,
-                };
-                ChaosTransport {
-                    inner: &mut plain,
-                    state: &mut c.state,
-                    delayq: &mut c.delayq,
-                    tally: &mut c.tally,
-                    log: &mut c.log,
-                }
-                .multicast(group, payload, opts);
-            }
-            None => self.core.fan_out(self.tx, now, group, payload, opts),
+        let Some(c) = self.core.chaos.as_mut() else {
+            return self.core.fan_out(self.tx, now, group, payload, opts);
+        };
+        let tx = &mut *self.tx;
+        let copies = c.filter(now, group, &mut payload, &opts, |k| tx.chaos_action(now, k));
+        for _ in 0..copies {
+            // Each copy's send stage is timed from its own fan-out, as an
+            // unfiltered send's is.
+            let now = self.tx.clock.now();
+            self.core.fan_out(self.tx, now, group, payload.clone(), opts.clone());
         }
     }
 

@@ -7,7 +7,7 @@
 
 use bytes::Bytes;
 use netsim::GroupId;
-use srm_transport::{Envelope, GroupMonitor, LossPolicy, Mode, Node, NodeHandle, WallClock};
+use srm_transport::{ChaosPlan, Envelope, GroupMonitor, Mode, Node, NodeHandle, WallClock};
 use srm_transport::NodeOptions;
 use srm::{LivenessConfig, PageId, PeerState, SeqNo, SourceId, SrmConfig};
 use std::net::{SocketAddr, UdpSocket};
@@ -79,9 +79,11 @@ fn passive_monitor_matches_sender_ground_truth_and_detects_death() {
             // replicate per peer in list order), forcing session-driven
             // loss detection and repair.  The monitor's copy is spared so
             // ground truth (seq 1 exists) reaches it either way.
-            opts.loss = LossPolicy::none()
-                .drop_nth(netsim::flow::DATA, 0)
-                .drop_nth(netsim::flow::DATA, 1);
+            opts.chaos = Some(
+                ChaosPlan::new()
+                    .drop_nth(netsim::flow::DATA, 0)
+                    .drop_nth(netsim::flow::DATA, 1),
+            );
             opts.metrics = Some(registry.clone());
             opts.trace = true;
             opts.trace_capacity = Some(4096);

@@ -33,6 +33,32 @@ echo "== soak smoke (bounded chaos run, invariant gate; DESIGN.md §9) =="
 timeout 60 ./target/release/srm-node soak --nodes 3 --secs 3 --adus 2 --seed 7 \
     --chaos "loss=0.1,dup=0.05,reorder=0.15:30ms,jitter=20ms,burst=0.9@1s+1.5s,blackhole=2@1s+1.5s"
 
+echo "== --drop-data smoke (forced DATA loss repaired; trace drained before kill -9) =="
+rm -f target/ci_drop.jsonl target/ci_drop_killed.jsonl
+# The source's first DATA frame is dropped on its send path; the joiner
+# must learn of it from session messages and receive it as a repair.
+timeout 30 ./target/release/srm-node join --id 2 --bind 127.0.0.1:7632 \
+    --peers 127.0.0.1:7631 --members 2 --duration 8 > target/ci_drop.out &
+DROPRX_PID=$!
+timeout 30 ./target/release/srm-node send --id 1 --bind 127.0.0.1:7631 \
+    --peers 127.0.0.1:7632 --members 2 --duration 8 --quiet \
+    --text drop-smoke --drop-data 0 --trace target/ci_drop.jsonl &
+DROP_PID=$!
+wait $DROP_PID $DROPRX_PID
+grep -q "\[repair\] drop-smoke" target/ci_drop.out \
+    || { echo "--drop-data smoke: the dropped ADU never arrived as a repair" >&2; exit 1; }
+# A node killed mid-run keeps the reactor's events its trace drains wrote.
+./target/release/srm-node send --id 3 --bind 127.0.0.1:7633 \
+    --peers 127.0.0.1:7634 --members 2 --duration 30 --quiet \
+    --text k1 --text k2 --text k3 --text k4 --text k5 --text k6 --text k7 --text k8 \
+    --chaos "loss=0.5" --trace target/ci_drop_killed.jsonl &
+KILL_PID=$!
+sleep 2
+kill -9 $KILL_PID
+wait $KILL_PID 2>/dev/null || true
+grep -q '"chaos_drop"' target/ci_drop_killed.jsonl \
+    || { echo "--drop-data smoke: killed node's trace has no chaos_drop events" >&2; exit 1; }
+
 echo "== metrics + monitor loopback (registry snapshots, passive group health) =="
 cargo test -q -p srm-transport --test metrics_monitor
 

@@ -3,9 +3,9 @@
 //! Three layers, matching the resilience design (DESIGN.md §9):
 //!
 //! 1. **Seeded determinism** — a [`ChaosState`]'s verdict stream, and the
-//!    full [`ChaosTransport`] decorator output, are pure functions of
-//!    `(seed, plan, frame sequence)`. This is what makes a failing soak
-//!    replayable from its seed.
+//!    full output of its send filter ([`ChaosState::filter`]), are pure
+//!    functions of `(seed, plan, frame sequence)`. This is what makes a
+//!    failing soak replayable from its seed.
 //! 2. **Timer-wheel churn** — lazy cancellation plus compaction keeps both
 //!    the tombstone set and the heap bounded under arbitrary
 //!    arm/cancel/fire interleavings, checked against a brute-force model.
@@ -20,14 +20,12 @@
 
 use bytes::Bytes;
 use netsim::{GroupId, SendOptions, SimDuration, SimTime, TimerId};
+use obs::TransportEventKind;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use srm::{Clock, PageId, SourceId, SrmConfig, Transport};
-use srm_transport::{
-    harvest_timeline, ChaosPlan, ChaosState, ChaosTransport, DelayQueue, Harness, SoakOptions,
-    TimerWheel,
-};
+use srm::{PageId, SourceId, SrmConfig};
+use srm_transport::{harvest_timeline, ChaosPlan, ChaosState, Harness, SoakOptions, TimerWheel};
 use std::time::{Duration, Instant};
 
 fn t(ms: u64) -> SimTime {
@@ -100,86 +98,53 @@ proptest! {
     }
 }
 
-/// A driver stand-in that records what actually reaches the wire.
-struct MockDriver {
-    now: SimTime,
-    rng: StdRng,
-    sent: Vec<(GroupId, Bytes, u32)>,
-    next_timer: u64,
+/// Chaos actions a filter run reported, by kind.
+#[derive(Debug, Default, PartialEq)]
+struct Actions {
+    dropped: usize,
+    duplicated: usize,
+    delayed: usize,
+    corrupted: usize,
 }
 
-impl MockDriver {
-    fn new() -> Self {
-        MockDriver { now: SimTime::ZERO, rng: StdRng::seed_from_u64(0), sent: Vec::new(), next_timer: 0 }
-    }
-}
-
-impl Clock for MockDriver {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn local_now(&self) -> SimTime {
-        self.now
-    }
-}
-
-impl Transport for MockDriver {
-    fn multicast(&mut self, group: GroupId, payload: Bytes, opts: SendOptions) {
-        self.sent.push((group, payload, opts.flow));
-    }
-
-    fn join(&mut self, _group: GroupId) {}
-
-    fn set_timer(&mut self, _delay: SimDuration, _token: u64) -> TimerId {
-        self.next_timer += 1;
-        TimerId(self.next_timer)
-    }
-
-    fn cancel_timer(&mut self, _id: TimerId) {}
-
-    fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-}
-
-/// Push `frames` payloads through a freshly seeded [`ChaosTransport`] and
-/// return everything observable: immediate sends, queued (held-back)
-/// frames, and the action tally.
-fn run_decorator(
+/// Push `frames` payloads through a freshly seeded [`ChaosState::filter`]
+/// and return everything observable: the copies sent to the fan-out now,
+/// the queued (held-back) frames, and the actions reported.
+fn run_filter(
     plan: &ChaosPlan,
     seed: u64,
     frames: usize,
-) -> (Vec<(GroupId, Bytes, u32)>, Vec<(SimTime, Bytes)>, srm_transport::ChaosTally) {
-    let mut inner = MockDriver::new();
+) -> (Vec<(GroupId, Bytes, u32)>, Vec<(SimTime, Bytes)>, Actions) {
     let mut state = ChaosState::new(plan.clone(), seed);
-    let mut delayq = DelayQueue::new();
-    let mut tally = srm_transport::ChaosTally::default();
-    let mut log = obs::TransportLog::default();
-    let mut chaos = ChaosTransport {
-        inner: &mut inner,
-        state: &mut state,
-        delayq: &mut delayq,
-        tally: &mut tally,
-        log: &mut log,
-    };
+    let mut sent = Vec::new();
+    let mut acts = Actions::default();
+    let opts = SendOptions::default();
     for i in 0..frames {
-        chaos.inner.now = t(i as u64 * 17);
-        let payload = Bytes::from(format!("frame {i} with room for a body tag"));
-        chaos.multicast(GroupId(1), payload, SendOptions::default());
+        let now = t(i as u64 * 17);
+        let mut payload = Bytes::from(format!("frame {i} with room for a body tag"));
+        let copies = state.filter(now, GroupId(1), &mut payload, &opts, |k| match k {
+            TransportEventKind::ChaosDrop { .. } => acts.dropped += 1,
+            TransportEventKind::ChaosDuplicate { .. } => acts.duplicated += 1,
+            TransportEventKind::ChaosDelay { .. } => acts.delayed += 1,
+            TransportEventKind::ChaosCorrupt { .. } => acts.corrupted += 1,
+            other => panic!("not a chaos action: {other:?}"),
+        });
+        for _ in 0..copies {
+            sent.push((GroupId(1), payload.clone(), opts.flow));
+        }
     }
     let mut held = Vec::new();
-    while let Some(d) = delayq.pop_due(t(100_000_000)) {
+    while let Some(d) = state.delayq.pop_due(t(100_000_000)) {
         held.push((d.due, d.payload));
     }
-    (inner.sent, held, tally)
+    (sent, held, acts)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Decorator-level determinism: same seed + plan + frame sequence ⇒
-    /// byte-identical wire output, hold-back schedule, and tally — the
+    /// Filter-level determinism: same seed + plan + frame sequence ⇒
+    /// byte-identical wire output, hold-back schedule, and actions — the
     /// whole observable effect, not just the verdict bits.
     #[test]
     fn chaos_transport_output_replays_from_seed(
@@ -196,15 +161,15 @@ proptest! {
             .corruption(f64::from(corrupt) / 100.0)
             .reorder(f64::from(reorder) / 100.0, SimDuration::from_millis(25))
             .jitter(SimDuration::from_millis(10));
-        let (sent_a, held_a, tally_a) = run_decorator(&plan, seed, frames);
-        let (sent_b, held_b, tally_b) = run_decorator(&plan, seed, frames);
+        let (sent_a, held_a, tally_a) = run_filter(&plan, seed, frames);
+        let (sent_b, held_b, tally_b) = run_filter(&plan, seed, frames);
         prop_assert_eq!(&sent_a, &sent_b);
         prop_assert_eq!(&held_a, &held_b);
         prop_assert_eq!(tally_a, tally_b);
         // Conservation: every frame is dropped, sent now, or held back —
         // duplicates add one copy to whichever path their original took.
-        let total = sent_a.len() + held_a.len() + tally_a.dropped as usize;
-        prop_assert_eq!(total, frames + tally_a.duplicated as usize);
+        let total = sent_a.len() + held_a.len() + tally_a.dropped;
+        prop_assert_eq!(total, frames + tally_a.duplicated);
     }
 }
 
@@ -375,6 +340,40 @@ fn blackhole_heal_recovers_data_and_tracks_liveness() {
     assert!(jsonl.contains("\"ev\":\"blackholed\""), "blackhole events missing from timeline");
     assert!(jsonl.contains("\"ev\":\"peer_dead\""), "peers never declared member 1 dead");
     assert!(jsonl.contains("\"ev\":\"peer_alive\""), "member 1 never revived after heal");
+}
+
+/// A node on group 1 under a plan scoped to group 7: group 1's frames are
+/// not the plan's to touch, so neither an all-destination blackhole over
+/// the whole run nor a rule dropping the first DATA frame (`srm-node
+/// --drop-data 0` with `group=7`) may stop its DATA arriving as original.
+#[test]
+fn group_scoped_plan_spares_other_groups() {
+    let plans = [
+        ChaosPlan::new().blackhole_all(t(0), t(60_000)).scoped_to(7),
+        ChaosPlan::new().drop_nth(netsim::flow::DATA, 0).scoped_to(7),
+    ];
+    for plan in plans {
+        let cfg = SrmConfig::fixed(2);
+        let h = Harness::loopback(2, GroupId(1), &cfg, |i, _addrs, opts| {
+            opts.session_enabled = false;
+            if i == 0 {
+                opts.chaos = Some(plan.clone());
+            }
+        })
+        .unwrap();
+        let page = PageId::new(SourceId(1), 0);
+        let name = h.nodes[0].send_data(page, Bytes::from_static(b"not group 7's"));
+        let mut got = Vec::new();
+        let arrived = wait_for(10, || {
+            got.extend(h.nodes[1].take_delivered());
+            got.iter().any(|d| d.name == name)
+        });
+        let st = h.nodes[0].stats();
+        assert!(arrived, "group-1 DATA never arrived under {plan:?}: {st:?}");
+        assert!(!got.iter().any(|d| d.via_repair), "delivered as original DATA");
+        assert_eq!((st.blackholed, st.frames_dropped), (0, 0), "{st:?}");
+        assert!(st.frames_accounted(), "{st:?}");
+    }
 }
 
 /// Library-level soak smoke: a short bounded run under the default mixed

@@ -2,7 +2,7 @@
 //!
 //! These are the wall-clock counterparts of the simulator reliability
 //! tests: real datagrams, real monotonic-clock timers, the same agent. A
-//! [`LossPolicy`] interposed on the sender's socket forces the loss; the
+//! chaos plan's drop-nth rule on the sender's send path forces the loss; the
 //! tests then wait (bounded) for the receiver-driven request/repair
 //! exchange to restore the data, and inspect the obs timeline for the
 //! recovery chain the paper describes.
@@ -16,7 +16,7 @@
 use bytes::Bytes;
 use netsim::{flow, GroupId, SimDuration};
 use srm::{PageId, SourceId, SrmConfig};
-use srm_transport::{harvest_timeline, Harness, LossPolicy};
+use srm_transport::{harvest_timeline, ChaosPlan, Harness};
 use std::time::{Duration, Instant};
 
 const GROUP: GroupId = GroupId(7);
@@ -43,8 +43,8 @@ fn seed_uniform_distances(n: usize, opts: &mut srm_transport::NodeOptions, d: Si
     }
 }
 
-/// Two members; the source's first DATA frame is eaten by the lossy socket
-/// wrapper. The receiver spots the gap when the next ADU arrives, requests
+/// Two members; the source's first DATA frame is eaten by its drop-nth
+/// rule. The receiver spots the gap when the next ADU arrives, requests
 /// the missing one, and the source repairs it — all over real UDP within a
 /// bounded wall-clock wait.
 #[test]
@@ -55,7 +55,7 @@ fn two_node_loopback_drop_is_recovered() {
         seed_uniform_distances(2, opts, SimDuration::from_millis(20));
         if i == 0 {
             // Drop the very first DATA frame the source puts on the wire.
-            opts.loss = LossPolicy::none().drop_nth(flow::DATA, 0);
+            opts.chaos = Some(ChaosPlan::new().drop_nth(flow::DATA, 0));
         }
     })
     .unwrap();
@@ -74,7 +74,7 @@ fn two_node_loopback_drop_is_recovered() {
     let repaired = got.iter().find(|d| d.name == lost).unwrap();
     assert!(repaired.via_repair, "lost ADU must arrive as a repair");
     assert_eq!(repaired.payload.as_ref(), b"lost on the wire");
-    assert_eq!(h.nodes[0].frames_dropped(), 1);
+    assert_eq!(h.nodes[0].stats().frames_dropped, 1);
 
     let mut agents = h.shutdown();
     assert_eq!(agents[1].metrics.requests_sent, 1);
@@ -113,7 +113,7 @@ fn three_node_loss_repaired_by_non_source() {
             // member 3 only.
             0 => {
                 opts.initial_distances = vec![(SourceId(2), far), (SourceId(3), far)];
-                opts.loss = LossPolicy::none().drop_nth_to(flow::DATA, addrs[2], 0);
+                opts.chaos = Some(ChaosPlan::new().drop_nth_to(flow::DATA, addrs[2], 0));
             }
             // Member 2: near member 3, far from the source.
             1 => {
@@ -204,4 +204,32 @@ fn oversized_send_is_a_counted_error_not_a_panic() {
         node.stats()
     );
     drop(node.shutdown());
+}
+
+/// Reactor-side transport events reach the agent's log by the next exec,
+/// not only at shutdown: a mid-run drain (what `srm-node --trace` does once
+/// a second, so a killed node keeps its trace) sees the chaos drops its
+/// sends just caused, and they are counted as they happen.
+#[test]
+fn mid_run_drain_returns_reactor_events() {
+    use srm_transport::{Mode, Node, NodeOptions};
+    let peer: std::net::SocketAddr = "127.0.0.1:9".parse().unwrap();
+    let mut opts = NodeOptions::new(SourceId(1), GroupId(1), SrmConfig::fixed(2));
+    opts.trace = true;
+    opts.session_enabled = false;
+    opts.chaos = Some(ChaosPlan::new().loss(1.0));
+    let node = Node::spawn("127.0.0.1:0".parse().unwrap(), Mode::Mesh { peers: vec![peer] }, opts)
+        .expect("node binds");
+    let page = PageId::new(SourceId(1), 0);
+    node.send_data(page, Bytes::from_static(b"one"));
+    node.send_data(page, Bytes::from_static(b"two"));
+    let is_drop = |e: &obs::TransportRecord| {
+        matches!(e.kind, obs::TransportEventKind::ChaosDrop { .. })
+    };
+    let drained = node.exec(|a, _| a.transport_obs.take_events());
+    assert_eq!(drained.iter().filter(|e| is_drop(e)).count(), 2, "{drained:?}");
+    assert_eq!(node.stats().chaos_dropped, 2);
+    // Drained once: the final harvest does not repeat them.
+    let agent = node.shutdown();
+    assert_eq!(agent.transport_obs.events().filter(|e| is_drop(e)).count(), 0);
 }
