@@ -213,7 +213,6 @@ fn main() {
         let stop = Arc::clone(&stats_stop);
         let path = args.stats_file.clone().expect("stats file set with registry");
         let interval = Duration::from_secs_f64(args.stats_interval);
-        let stats_hub = hub.clone();
         std::thread::spawn(move || {
             let mut file = match std::fs::File::create(&path) {
                 Ok(f) => f,
@@ -224,9 +223,6 @@ fn main() {
             };
             loop {
                 let stopping = stop.load(Ordering::Relaxed);
-                // stats() refreshes the hub-level registry mirrors before
-                // the snapshot is taken.
-                let _ = stats_hub.stats();
                 let snap = reg.snapshot();
                 let _ = writeln!(file, "{}", snap.to_json_line()).and_then(|()| file.flush());
                 if stopping {

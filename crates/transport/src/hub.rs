@@ -42,7 +42,7 @@ use crate::control::GroupSpec;
 use crate::envelope::Envelope;
 use crate::pool::{BufferPool, PoolBuf};
 use crate::session::{
-    bump, call, gro_segments, run_reactor, run_recv, Counters, Event, Field, Mirrors, RecvLoop, Tx,
+    call, gro_segments, run_reactor, run_recv, Counters, Event, RecvLoop, RxProbes, Tx,
     MAX_DATAGRAM,
 };
 use crate::shard::{DrainOutcome, GroupStats, Shard, ShardConfig};
@@ -156,8 +156,12 @@ pub struct HubOptions {
     /// Batched-datapath tuning, shared by the demux thread and every
     /// shard's send half.
     pub batch: BatchOptions,
-    /// Live metrics registry: per-group counters land as `hub.g{G}.*`,
-    /// shard gauges as `hub.shard{i}.*`.
+    /// Live metrics registry. The hub's shared transport counters live in
+    /// it under the node's names (`frames.*`, `rx.*`, `recv.*`, …), the
+    /// shards and the demux thread record the node's stage histograms and
+    /// per-kind frame counters, per-group counters land as `hub.g{G}.*`
+    /// and shard gauges as `hub.shard{i}.*`. `None` keeps the shared
+    /// counters in a private registry and records nothing else.
     pub metrics: Option<obs::MetricsRegistry>,
     /// Durable-store root: group `g` logs under `<root>/<g>/`.
     pub store_root: Option<PathBuf>,
@@ -190,25 +194,11 @@ pub struct CreateOutcome {
 struct HubInner {
     addr: SocketAddr,
     shard_tx: Vec<mpsc::SyncSender<Event<Shard>>>,
-    counters: Arc<Counters>,
+    counters: Counters,
     stop: Arc<AtomicBool>,
     threads: Mutex<Vec<thread::JoinHandle<()>>>,
     stopped: AtomicBool,
-    metrics: Option<Mirrors>,
 }
-
-/// Hub-level registry mirrors, refreshed on every `stats()` call (the
-/// hub has no central reactor loop to refresh them from).
-const HUB_MIRRORS: [(&str, Field); 8] = [
-    ("hub.frames_attempted", |c| &c.frames_attempted),
-    ("hub.frames_sent", |c| &c.frames_sent),
-    ("hub.send_errors", |c| &c.send_errors),
-    ("hub.rx_frames", |c| &c.frames_received),
-    ("hub.rx_undecodable", |c| &c.decode_errors),
-    ("hub.rx_unjoined_group", |c| &c.rx_unjoined_group),
-    ("hub.inbound_overflow", |c| &c.inbound_overflow),
-    ("hub.demux_splits", |c| &c.demux_splits),
-];
 
 /// Spawner for hub runtimes.
 pub struct Hub;
@@ -227,7 +217,7 @@ impl Hub {
         crate::batch::configure_socket_buffers(&socket, opts.batch.socket_bufs);
 
         let shards = opts.shards.max(1);
-        let counters = Arc::new(Counters::default());
+        let counters = Counters::new(&opts.metrics.clone().unwrap_or_default());
         let clock = WallClock::new();
         let stop = Arc::new(AtomicBool::new(false));
         let mut shard_tx = Vec::with_capacity(shards);
@@ -239,7 +229,7 @@ impl Hub {
             // Each shard sends on its own clone of the shared socket.
             let name = format!("srm-hub[shard {index}]");
             let (sock, send_sock) = (socket.try_clone()?, socket.try_clone()?);
-            let (clock, counters) = (clock.clone(), Arc::clone(&counters));
+            let (clock, counters, reg) = (clock.clone(), counters.clone(), opts.metrics.clone());
             let mut shard = Shard::new(ShardConfig {
                 index,
                 seed: opts.seed,
@@ -251,8 +241,9 @@ impl Hub {
                 if batch.batch_sched {
                     crate::batch::enter_batch_scheduling();
                 }
-                let mut tx = Tx::new(sock, send_sock, &batch, clock, counters, None, name);
-                run_reactor(&mut shard, &mut tx, &rx, batch.inbound_drain, None);
+                let mut tx = Tx::new(sock, send_sock, &batch, clock, counters, reg.as_ref(), name);
+                let probes = reg.as_ref().map(RxProbes::new);
+                run_reactor(&mut shard, &mut tx, &rx, batch.inbound_drain, probes.as_ref());
                 // Shutdown: every still-hosted group drains gracefully.
                 shard.drain_all(&mut tx);
             };
@@ -260,8 +251,9 @@ impl Hub {
         }
 
         let (policy, batch, recv_stop, recv_counters) =
-            (opts.supervision, opts.batch, Arc::clone(&stop), Arc::clone(&counters));
-        let (demux_txs, demux_counters) = (shard_tx.clone(), Arc::clone(&counters));
+            (opts.supervision, opts.batch, Arc::clone(&stop), counters.clone());
+        let (demux_txs, demux_counters) = (shard_tx.clone(), counters.clone());
+        let histo = opts.metrics.as_ref().map(|r| r.histogram("batch.recv_frames"));
         let sink = move |at, f| {
             route_frame(at, f, &demux_txs, &demux_counters);
             true
@@ -278,7 +270,7 @@ impl Hub {
                         local: addr,
                         batch,
                         pool: BufferPool::new(batch.pool_slabs, MAX_DATAGRAM),
-                        histo: None,
+                        histo,
                         stop: recv_stop,
                         counters: recv_counters,
                         clock,
@@ -297,7 +289,6 @@ impl Hub {
                 stop,
                 threads: Mutex::new(threads),
                 stopped: AtomicBool::new(false),
-                metrics: opts.metrics.as_ref().map(|r| Mirrors::new(r, &HUB_MIRRORS)),
             }),
         })
     }
@@ -384,19 +375,16 @@ impl HubHandle {
         }
         groups.sort_by_key(|g| g.group);
         let c = &self.inner.counters;
-        if let Some(reg) = &self.inner.metrics {
-            reg.refresh(c);
-        }
         HubStats {
             groups,
-            frames_attempted: c.frames_attempted.load(Ordering::Relaxed),
-            frames_sent: c.frames_sent.load(Ordering::Relaxed),
-            send_errors: c.send_errors.load(Ordering::Relaxed),
-            rx_frames: c.frames_received.load(Ordering::Relaxed),
-            rx_undecodable: c.decode_errors.load(Ordering::Relaxed),
-            rx_unjoined_group: c.rx_unjoined_group.load(Ordering::Relaxed),
-            inbound_overflow: c.inbound_overflow.load(Ordering::Relaxed),
-            demux_splits: c.demux_splits.load(Ordering::Relaxed),
+            frames_attempted: c.frames_attempted.get(),
+            frames_sent: c.frames_sent.get(),
+            send_errors: c.send_errors.get(),
+            rx_frames: c.frames_received.get(),
+            rx_undecodable: c.decode_errors.get(),
+            rx_unjoined_group: c.rx_unjoined_group.get(),
+            inbound_overflow: c.inbound_overflow.get(),
+            demux_splits: c.demux_splits.get(),
         }
     }
 
@@ -447,7 +435,7 @@ fn route_frame(
     // the gap exactly as it would wire loss.
     let deliver = |shard: usize, ev: Event<Shard>, frames: u64| {
         if let Err(mpsc::TrySendError::Full(_)) = shard_tx[shard].try_send(ev) {
-            bump(&counters.inbound_overflow, frames);
+            counters.inbound_overflow.add(frames);
         }
     };
     let (mut target, mut uniform, mut bad) = (None, true, 0u64);
@@ -459,20 +447,20 @@ fn route_frame(
     }
     match target {
         // Nothing prechecks: count every frame and drop the lot.
-        None => bump(&counters.decode_errors, bad),
+        None => counters.decode_errors.add(bad),
         Some(shard) if uniform && bad == 0 => {
             let frames = f.frame_count() as u64;
             deliver(shard, Event::Datagram(at, f), frames);
         }
         Some(_) => {
-            bump(&counters.demux_splits, 1);
+            counters.demux_splits.inc();
             for chunk in gro_segments(&f.buf, f.seg_size) {
                 match shard_for(chunk) {
                     Ok(s) => {
                         let buf = PoolBuf::copied_from(chunk);
                         deliver(s, Event::Datagram(at, RecvFrame { buf, seg_size: 0 }), 1);
                     }
-                    Err(_) => bump(&counters.decode_errors, 1),
+                    Err(_) => counters.decode_errors.inc(),
                 }
             }
         }

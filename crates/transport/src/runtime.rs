@@ -58,8 +58,8 @@ use crate::clock::WallClock;
 use crate::envelope::EnvelopeView;
 use crate::pool::BufferPool;
 use crate::session::{
-    bump, call, run_reactor, run_recv, Counters, Event, Field, Host, Mirrors, RecvLoop, RxProbes,
-    Session, Tx, MAX_DATAGRAM,
+    call, run_reactor, run_recv, Counters, Event, Host, RecvLoop, RxProbes, Session, Tx,
+    MAX_DATAGRAM,
 };
 use crate::supervise::SupervisePolicy;
 use bytes::Bytes;
@@ -125,11 +125,14 @@ pub struct NodeOptions {
     /// count), `None` keeps everything.  Long live runs should bound this;
     /// golden-trace runs must not.
     pub trace_capacity: Option<usize>,
-    /// Live metrics registry.  When set, the reactor updates hot-path
-    /// counters/gauges/histograms (frames by kind, stage latencies, queue
-    /// depths, chaos/supervision/liveness mirrors) that a stats emitter can
-    /// snapshot concurrently.  `None` (the default, and always in simulator
-    /// runs) costs one branch per instrumented site.
+    /// Live metrics registry.  When set, it holds the node's shared
+    /// transport counters (`frames.*`, `chaos.*`, `recv.*`, queue
+    /// high-water marks), and the reactor also records frames by kind,
+    /// stage latencies, queue depths and liveness/store/pool tallies, all
+    /// of which a stats emitter can snapshot concurrently.  `None` (the
+    /// default, and always in simulator runs) keeps the shared counters in
+    /// a private registry and costs one branch per other instrumented
+    /// site.
     pub metrics: Option<obs::MetricsRegistry>,
     /// Pre-seeded distance estimates (assumed-converged state, as the
     /// figure experiments use). Live session messages refine them.
@@ -212,33 +215,11 @@ impl NodeOptions {
 /// draw stream independent of the protocol's timer draws.
 const CHAOS_SEED_SALT: u64 = 0xC4A0_5EED_0BAD_CA5E;
 
-/// Registry counters mirroring the node's shared counters.
-const NODE_MIRRORS: [(&str, Field); 17] = [
-    ("inbound.overflow", |c| &c.inbound_overflow),
-    ("frames.attempted", |c| &c.frames_attempted),
-    ("frames.sent", |c| &c.frames_sent),
-    ("frames.dropped", |c| &c.frames_dropped),
-    ("frames.received", |c| &c.frames_received),
-    ("frames.blackholed", |c| &c.blackholed),
-    ("frames.send_errors", |c| &c.send_errors),
-    ("rx.decode_errors", |c| &c.decode_errors),
-    ("rx.unjoined_group", |c| &c.rx_unjoined_group),
-    ("chaos.dropped", |c| &c.chaos_dropped),
-    ("chaos.duplicated", |c| &c.chaos_duplicated),
-    ("chaos.delayed", |c| &c.chaos_delayed),
-    ("chaos.corrupted", |c| &c.chaos_corrupted),
-    ("recv.transient_errors", |c| &c.recv_transient_errors),
-    ("recv.respawns", |c| &c.recv_respawns),
-    ("recv.deaths", |c| &c.recv_deaths),
-    ("mode.fallbacks", |c| &c.mode_fallbacks),
-];
-
-/// Reactor-side cached registry handles: resolved once at spawn so the hot
-/// path is one relaxed atomic op per update, no name lookups. Refreshed
-/// once per reactor wakeup so snapshots are complete without reaching
-/// into the handle.
+/// Reactor-side cached registry handles for what the shared [`Counters`]
+/// do not hold: resolved once at spawn so the hot path is one relaxed
+/// atomic op per update, no name lookups. Refreshed once per reactor
+/// wakeup so snapshots are complete without reaching into the handle.
 struct RegHandles {
-    counters: Mirrors,
     /// Pool occupancy (slabs in flight, both directions) per wakeup.
     pool_in_use: obs::Gauge,
     /// Pool size (both directions).
@@ -249,9 +230,7 @@ struct RegHandles {
     liveness_died: obs::Counter,
     liveness_revived: obs::Counter,
     wheel_depth: obs::Gauge,
-    wheel_high_water: obs::Gauge,
     delayq_depth: obs::Gauge,
-    delayq_high_water: obs::Gauge,
     peers_alive: obs::Gauge,
     peers_suspect: obs::Gauge,
     peers_dead: obs::Gauge,
@@ -272,7 +251,6 @@ struct RegHandles {
 impl RegHandles {
     fn new(reg: &obs::MetricsRegistry) -> Self {
         RegHandles {
-            counters: Mirrors::new(reg, &NODE_MIRRORS),
             pool_in_use: reg.gauge("pool.in_use"),
             pool_capacity: reg.gauge("pool.capacity"),
             pool_misses: reg.counter("pool.misses"),
@@ -280,9 +258,7 @@ impl RegHandles {
             liveness_died: reg.counter("liveness.died"),
             liveness_revived: reg.counter("liveness.revived"),
             wheel_depth: reg.gauge("wheel.depth"),
-            wheel_high_water: reg.gauge("wheel.high_water"),
             delayq_depth: reg.gauge("delayq.depth"),
-            delayq_high_water: reg.gauge("delayq.high_water"),
             peers_alive: reg.gauge("peers.alive"),
             peers_suspect: reg.gauge("peers.suspect"),
             peers_dead: reg.gauge("peers.dead"),
@@ -357,25 +333,25 @@ pub struct TransportStats {
 impl TransportStats {
     fn snapshot(c: &Counters) -> TransportStats {
         TransportStats {
-            frames_attempted: c.frames_attempted.load(Ordering::Relaxed),
-            frames_sent: c.frames_sent.load(Ordering::Relaxed),
-            frames_dropped: c.frames_dropped.load(Ordering::Relaxed),
-            frames_received: c.frames_received.load(Ordering::Relaxed),
-            blackholed: c.blackholed.load(Ordering::Relaxed),
-            send_errors: c.send_errors.load(Ordering::Relaxed),
-            chaos_dropped: c.chaos_dropped.load(Ordering::Relaxed),
-            chaos_duplicated: c.chaos_duplicated.load(Ordering::Relaxed),
-            chaos_delayed: c.chaos_delayed.load(Ordering::Relaxed),
-            chaos_corrupted: c.chaos_corrupted.load(Ordering::Relaxed),
-            decode_errors: c.decode_errors.load(Ordering::Relaxed),
-            recv_transient_errors: c.recv_transient_errors.load(Ordering::Relaxed),
-            recv_respawns: c.recv_respawns.load(Ordering::Relaxed),
-            recv_deaths: c.recv_deaths.load(Ordering::Relaxed),
-            mode_fallbacks: c.mode_fallbacks.load(Ordering::Relaxed),
-            inbound_overflow: c.inbound_overflow.load(Ordering::Relaxed),
-            rx_unjoined_group: c.rx_unjoined_group.load(Ordering::Relaxed),
-            max_wheel_len: c.max_wheel_len.load(Ordering::Relaxed),
-            max_delayq_len: c.max_delayq_len.load(Ordering::Relaxed),
+            frames_attempted: c.frames_attempted.get(),
+            frames_sent: c.frames_sent.get(),
+            frames_dropped: c.frames_dropped.get(),
+            frames_received: c.frames_received.get(),
+            blackholed: c.blackholed.get(),
+            send_errors: c.send_errors.get(),
+            chaos_dropped: c.chaos_dropped.get(),
+            chaos_duplicated: c.chaos_duplicated.get(),
+            chaos_delayed: c.chaos_delayed.get(),
+            chaos_corrupted: c.chaos_corrupted.get(),
+            decode_errors: c.decode_errors.get(),
+            recv_transient_errors: c.recv_transient_errors.get(),
+            recv_respawns: c.recv_respawns.get(),
+            recv_deaths: c.recv_deaths.get(),
+            mode_fallbacks: c.mode_fallbacks.get(),
+            inbound_overflow: c.inbound_overflow.get(),
+            rx_unjoined_group: c.rx_unjoined_group.get(),
+            max_wheel_len: c.max_wheel_len.get(),
+            max_delayq_len: c.max_delayq_len.get(),
         }
     }
 
@@ -447,7 +423,9 @@ impl Node {
         // and supervision events block briefly instead of being lost.
         let (chan, rx) = mpsc::sync_channel::<Event<NodeHost>>(opts.batch.inbound_capacity.max(1));
         let stop = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(Counters::default());
+        // The caller's registry is the counters' store; without one, a
+        // private registry holds them.
+        let counters = Counters::new(&opts.metrics.clone().unwrap_or_default());
         let clock = WallClock::with_skew(opts.skew);
         // One slab per channel slot would be ideal; `pool_slabs` bounds the
         // receive-side memory at `pool_slabs * MAX_DATAGRAM` instead, with
@@ -462,12 +440,12 @@ impl Node {
             pool: rx_pool.clone(),
             histo: opts.metrics.as_ref().map(|r| r.histogram("batch.recv_frames")),
             stop: Arc::clone(&stop),
-            counters: Arc::clone(&counters),
+            counters: counters.clone(),
             clock: clock.clone(),
             name: name.clone(),
         };
         let (sink_chan, report_chan) = (chan.clone(), chan.clone());
-        let sink_counters = Arc::clone(&counters);
+        let overflow = counters.inbound_overflow.clone();
         let sink = move |at, f: RecvFrame| {
             let frames = f.frame_count() as u64;
             match sink_chan.try_send(Event::Datagram(at, f)) {
@@ -476,7 +454,7 @@ impl Node {
                 // the gap exactly as it would wire loss. A shed coalesced
                 // buffer loses every frame it carried.
                 Err(mpsc::TrySendError::Full(_)) => {
-                    bump(&sink_counters.inbound_overflow, frames);
+                    overflow.add(frames);
                     true
                 }
                 Err(mpsc::TrySendError::Disconnected(_)) => false,
@@ -490,7 +468,7 @@ impl Node {
             .spawn(move || run_recv(recv, sink, report))?;
 
         let send_sock = socket.try_clone()?;
-        let reactor_counters = Arc::clone(&counters);
+        let reactor_counters = counters.clone();
         let id = opts.id;
         let reactor = thread::Builder::new()
             .name(format!("srm-node-{}", opts.id.0))
@@ -572,25 +550,23 @@ fn run_node(
     tx.log.record(
         tx.clock.now(),
         obs::TransportEventKind::QueueHighWater {
-            wheel: tx.counters.max_wheel_len.load(Ordering::Relaxed),
-            delayq: tx.counters.max_delayq_len.load(Ordering::Relaxed),
+            wheel: tx.counters.max_wheel_len.get(),
+            delayq: tx.counters.max_delayq_len.get(),
         },
     );
     host.absorb_reactor_log(tx);
     host.session.agent
 }
 
-/// Publish the reactor's queue high-water marks to the shared atomic
-/// counters, and refresh the registry mirrors when one is attached.
+/// Raise the reactor's queue high-water marks, and refresh the registry
+/// gauges and agent-owned tallies when one is attached.
 fn publish_reactor_counters(s: &Session, tx: &Tx, rx_pool: &BufferPool, reg: Option<&RegHandles>) {
-    let counters = &tx.counters;
     let wheel_len = s.core.wheel.len();
     let delayq_len = s.core.chaos.as_ref().map_or(0, |c| c.delayq.len());
     let (liveness, store) = (&s.agent.liveness, s.agent.store());
-    counters.max_wheel_len.fetch_max(wheel_len as u64, Ordering::Relaxed);
-    counters.max_delayq_len.fetch_max(delayq_len as u64, Ordering::Relaxed);
+    tx.counters.max_wheel_len.raise(wheel_len as u64);
+    tx.counters.max_delayq_len.raise(delayq_len as u64);
     let Some(m) = reg else { return };
-    m.counters.refresh(counters);
     let (rx_used, rx_cap) = rx_pool.occupancy();
     let (tx_used, tx_cap) = tx.pool.occupancy();
     m.pool_in_use.set(rx_used + tx_used);
@@ -600,9 +576,7 @@ fn publish_reactor_counters(s: &Session, tx: &Tx, rx_pool: &BufferPool, reg: Opt
     m.liveness_died.set_total(liveness.died_total);
     m.liveness_revived.set_total(liveness.revived_total);
     m.wheel_depth.set(wheel_len as u64);
-    m.wheel_high_water.set(counters.max_wheel_len.load(Ordering::Relaxed));
     m.delayq_depth.set(delayq_len as u64);
-    m.delayq_high_water.set(counters.max_delayq_len.load(Ordering::Relaxed));
     let (alive, suspect, dead) = liveness.counts();
     m.peers_alive.set(alive);
     m.peers_suspect.set(suspect);
@@ -628,7 +602,7 @@ pub struct NodeHandle {
     thread: Option<thread::JoinHandle<SrmAgent>>,
     addr: SocketAddr,
     id: SourceId,
-    counters: Arc<Counters>,
+    counters: Counters,
 }
 
 impl NodeHandle {

@@ -58,7 +58,7 @@ use std::collections::BTreeSet;
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
@@ -88,53 +88,59 @@ fn flow_slot(flow: u32) -> usize {
     (flow as usize).min(FLOW_KINDS.len() - 1)
 }
 
-/// The atomic counters behind both `TransportStats` (one node) and
-/// `HubStats` (one hub, shared by its demux thread and every shard).
-#[derive(Debug, Default)]
+/// The shared transport counters of one node, or of one hub (its demux
+/// thread and every shard). Each is a handle into a metrics registry —
+/// the caller's, or a private one — so the registry is their only store:
+/// `TransportStats`, `HubStats` and a stats snapshot read the same cells,
+/// under the same names on `srm-node` and `srm-hub`.
+#[derive(Clone, Debug)]
 pub(crate) struct Counters {
-    pub frames_attempted: AtomicU64,
-    pub frames_sent: AtomicU64,
-    pub frames_dropped: AtomicU64,
-    pub frames_received: AtomicU64,
-    pub blackholed: AtomicU64,
-    pub send_errors: AtomicU64,
-    pub chaos_dropped: AtomicU64,
-    pub chaos_duplicated: AtomicU64,
-    pub chaos_delayed: AtomicU64,
-    pub chaos_corrupted: AtomicU64,
-    pub decode_errors: AtomicU64,
-    pub recv_transient_errors: AtomicU64,
-    pub recv_respawns: AtomicU64,
-    pub recv_deaths: AtomicU64,
-    pub mode_fallbacks: AtomicU64,
-    pub inbound_overflow: AtomicU64,
-    pub rx_unjoined_group: AtomicU64,
-    pub demux_splits: AtomicU64,
-    pub max_wheel_len: AtomicU64,
-    pub max_delayq_len: AtomicU64,
+    pub frames_attempted: obs::Counter,
+    pub frames_sent: obs::Counter,
+    pub frames_dropped: obs::Counter,
+    pub frames_received: obs::Counter,
+    pub blackholed: obs::Counter,
+    pub send_errors: obs::Counter,
+    pub chaos_dropped: obs::Counter,
+    pub chaos_duplicated: obs::Counter,
+    pub chaos_delayed: obs::Counter,
+    pub chaos_corrupted: obs::Counter,
+    pub decode_errors: obs::Counter,
+    pub recv_transient_errors: obs::Counter,
+    pub recv_respawns: obs::Counter,
+    pub recv_deaths: obs::Counter,
+    pub mode_fallbacks: obs::Counter,
+    pub inbound_overflow: obs::Counter,
+    pub rx_unjoined_group: obs::Counter,
+    pub demux_splits: obs::Counter,
+    pub max_wheel_len: obs::Gauge,
+    pub max_delayq_len: obs::Gauge,
 }
 
-/// Add `n` to a shared counter.
-pub(crate) fn bump(c: &AtomicU64, n: u64) {
-    c.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Which shared counter a registry mirror reads.
-pub(crate) type Field = fn(&Counters) -> &AtomicU64;
-
-/// Registry counters mirroring shared [`Counters`]. Every source is
-/// cumulative, so `set_total` keeps the mirrors monotone (snapshot deltas
-/// stay restart-aware).
-pub(crate) struct Mirrors(Vec<(obs::Counter, Field)>);
-
-impl Mirrors {
-    pub(crate) fn new(reg: &obs::MetricsRegistry, fields: &[(&str, Field)]) -> Self {
-        Mirrors(fields.iter().map(|&(name, f)| (reg.counter(name), f)).collect())
-    }
-
-    pub(crate) fn refresh(&self, c: &Counters) {
-        for (mirror, field) in &self.0 {
-            mirror.set_total(field(c).load(Ordering::Relaxed));
+impl Counters {
+    /// Register every shared counter in `reg`.
+    pub(crate) fn new(reg: &obs::MetricsRegistry) -> Counters {
+        Counters {
+            frames_attempted: reg.counter("frames.attempted"),
+            frames_sent: reg.counter("frames.sent"),
+            frames_dropped: reg.counter("frames.dropped"),
+            frames_received: reg.counter("frames.received"),
+            blackholed: reg.counter("frames.blackholed"),
+            send_errors: reg.counter("frames.send_errors"),
+            chaos_dropped: reg.counter("chaos.dropped"),
+            chaos_duplicated: reg.counter("chaos.duplicated"),
+            chaos_delayed: reg.counter("chaos.delayed"),
+            chaos_corrupted: reg.counter("chaos.corrupted"),
+            decode_errors: reg.counter("rx.decode_errors"),
+            recv_transient_errors: reg.counter("recv.transient_errors"),
+            recv_respawns: reg.counter("recv.respawns"),
+            recv_deaths: reg.counter("recv.deaths"),
+            mode_fallbacks: reg.counter("mode.fallbacks"),
+            inbound_overflow: reg.counter("inbound.overflow"),
+            rx_unjoined_group: reg.counter("rx.unjoined_group"),
+            demux_splits: reg.counter("demux.splits"),
+            max_wheel_len: reg.gauge("wheel.high_water"),
+            max_delayq_len: reg.gauge("delayq.high_water"),
         }
     }
 }
@@ -211,7 +217,7 @@ pub(crate) struct Tx {
     socket: UdpSocket,
     batch: Box<dyn BatchSocket>,
     pub(crate) clock: WallClock,
-    pub(crate) counters: Arc<Counters>,
+    pub(crate) counters: Counters,
     /// Reactor-side transport events: blackholes, send and decode errors,
     /// supervision events forwarded from the receive thread.
     pub(crate) log: obs::TransportLog,
@@ -238,7 +244,7 @@ impl Tx {
         send_sock: UdpSocket,
         batch: &BatchOptions,
         clock: WallClock,
-        counters: Arc<Counters>,
+        counters: Counters,
         metrics: Option<&obs::MetricsRegistry>,
         name: String,
     ) -> Tx {
@@ -300,9 +306,9 @@ impl Tx {
                 }
                 for (p, r) in chunk.iter().zip(self.results.iter()) {
                     match r {
-                        Ok(()) => bump(&self.counters.frames_sent, 1),
+                        Ok(()) => self.counters.frames_sent.inc(),
                         Err(e) => {
-                            bump(&self.counters.send_errors, 1);
+                            self.counters.send_errors.inc();
                             self.log.record(
                                 now,
                                 obs::TransportEventKind::SocketError {
@@ -324,7 +330,7 @@ impl Tx {
 
     /// Count (and sample to stderr) a datagram that failed to decode.
     fn undecodable(&mut self, e: EnvelopeError) {
-        bump(&self.counters.decode_errors, 1);
+        self.counters.decode_errors.inc();
         self.log.record(
             self.clock.now(),
             obs::TransportEventKind::DecodeError { reason: e.label().to_string() },
@@ -340,9 +346,6 @@ impl Tx {
         }
     }
 
-    /// Count (and sample to stderr) a well-formed frame for a group no
-    /// session here has joined — almost always a misconfigured peer, or a
-    /// hub group that was never created.
     /// Count and log one chaos action at the point it is decided.
     fn chaos_action(&mut self, at: SimTime, kind: obs::TransportEventKind) {
         use obs::TransportEventKind as K;
@@ -354,12 +357,15 @@ impl Tx {
             K::ChaosDuplicate { .. } => &c.chaos_duplicated,
             other => unreachable!("not a chaos action: {other:?}"),
         };
-        bump(counter, 1);
+        counter.inc();
         self.log.record(at, kind);
     }
 
+    /// Count (and sample to stderr) a well-formed frame for a group no
+    /// session here has joined — almost always a misconfigured peer, or a
+    /// hub group that was never created.
     fn unjoined(&mut self, env: &EnvelopeView<'_>) {
-        bump(&self.counters.rx_unjoined_group, 1);
+        self.counters.rx_unjoined_group.inc();
         self.unjoined += 1;
         if self.unjoined <= 5 || self.unjoined.is_multiple_of(1024) {
             eprintln!(
@@ -424,17 +430,17 @@ impl Core {
         let flow = opts.flow;
         let mut chaos = self.chaos.as_mut().filter(|c| c.plan.applies_to(group));
         let mut attempt = |dest: SocketAddr, rule_dest: Option<SocketAddr>, ttl: Option<u8>| {
-            bump(&tx.counters.frames_attempted, 1);
+            tx.counters.frames_attempted.inc();
             if chaos.as_ref().is_some_and(|c| c.plan.blackholed(now, rule_dest)) {
-                bump(&tx.counters.blackholed, 1);
+                tx.counters.blackholed.inc();
                 tx.log.record(now, obs::TransportEventKind::Blackholed { flow });
             } else if chaos.as_mut().is_some_and(|c| c.drops_nth(flow, rule_dest)) {
-                bump(&tx.counters.frames_dropped, 1);
+                tx.counters.frames_dropped.inc();
             } else if let Some(data) = &wire {
                 tx.queue.push(PendingFrame { dest, ttl, data: Arc::clone(data) });
             } else {
                 // Refused at encode: settled here, as a send error.
-                bump(&tx.counters.send_errors, 1);
+                tx.counters.send_errors.inc();
                 let detail = format!("send_to {dest}: {}", EnvelopeError::Oversized);
                 let kind = obs::TransportEventKind::SocketError { detail, transient: false };
                 tx.log.record(now, kind);
@@ -482,7 +488,7 @@ impl Core {
             // Degrade to the unicast mesh for *all* traffic: one fan-out
             // path keeps the group-delivery model coherent.
             let peers = std::mem::take(&mut self.fallback_peers);
-            bump(&tx.counters.mode_fallbacks, 1);
+            tx.counters.mode_fallbacks.inc();
             tx.log.record(now, obs::TransportEventKind::ModeFallback { peers: peers.len() as u64 });
             eprintln!(
                 "{}: multicast join for group {} failed ({e}); \
@@ -566,7 +572,7 @@ impl Session {
             return false;
         }
         self.rx_frames += 1;
-        bump(&tx.counters.frames_received, 1);
+        tx.counters.frames_received.inc();
         self.rx_seq += 1;
         let pkt = Packet::new(
             // One observable hop on a mesh; real multicast hop counts would
@@ -763,7 +769,8 @@ pub(crate) trait Host {
     /// Every hosted session.
     fn sessions(&mut self) -> impl Iterator<Item = &mut Session>;
 
-    /// Refresh counters and registry mirrors, once per reactor turn.
+    /// Refresh queue high-water marks and registry gauges, once per
+    /// reactor turn.
     fn publish(&mut self, tx: &Tx);
 }
 
@@ -885,7 +892,7 @@ pub(crate) struct RecvLoop {
     /// Frames per receive syscall, when a registry is attached.
     pub histo: Option<obs::Histo>,
     pub stop: Arc<AtomicBool>,
-    pub counters: Arc<Counters>,
+    pub counters: Counters,
     pub clock: WallClock,
     /// Prefix for the stderr line if the thread dies for good.
     pub name: String,
@@ -964,7 +971,7 @@ where
         |ev| {
             let kind = match ev {
                 SupervisionEvent::Transient { detail, .. } => {
-                    bump(&counters.recv_transient_errors, 1);
+                    counters.recv_transient_errors.inc();
                     obs::TransportEventKind::SocketError { detail: detail.clone(), transient: true }
                 }
                 SupervisionEvent::Fatal { detail } => obs::TransportEventKind::SocketError {
@@ -972,7 +979,7 @@ where
                     transient: false,
                 },
                 SupervisionEvent::Respawned { attempt, .. } => {
-                    bump(&counters.recv_respawns, 1);
+                    counters.recv_respawns.inc();
                     obs::TransportEventKind::RecvRespawn { attempt: *attempt }
                 }
             };
@@ -990,7 +997,7 @@ where
         },
     );
     if matches!(reason, ExitReason::Exhausted { .. }) {
-        bump(&counters.recv_deaths, 1);
+        counters.recv_deaths.inc();
         eprintln!("{name}: receive thread died: {}", reason.label());
     }
     report(clock.now(), obs::TransportEventKind::RecvExit { reason: reason.label() });

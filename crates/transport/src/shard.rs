@@ -272,14 +272,17 @@ impl Host for Shard {
         self.groups.values_mut().map(|h| &mut h.session)
     }
 
-    /// Refresh per-group registry mirrors and shard-level gauges.
-    fn publish(&mut self, _tx: &Tx) {
+    /// Refresh per-group registry copies, shard-level gauges and the
+    /// largest group timer wheel's high-water mark (`wheel.high_water`).
+    fn publish(&mut self, tx: &Tx) {
         let Some((g_groups, g_wheel)) = &self.gauges else {
             return;
         };
         let mut wheel_total = 0u64;
         for (&gid, h) in &self.groups {
-            wheel_total += h.session.core.wheel.len() as u64;
+            let wheel_len = h.session.core.wheel.len() as u64;
+            wheel_total += wheel_len;
+            tx.counters.max_wheel_len.raise(wheel_len);
             if let Some(r) = &h.reg {
                 let st = h.stats(gid, self.cfg.index);
                 r.rx_frames.set_total(st.rx_frames);

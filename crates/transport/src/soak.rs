@@ -18,10 +18,11 @@
 //!    accounted as sent, policy-dropped, blackholed, or a send error
 //!    ([`TransportStats::frames_accounted`]).
 //!
-//! The report carries per-node [`TransportStats`], the delivery matrix, a
-//! [`RunSummary`](obs::RunSummary) with the transport table, and (with
-//! `trace`) the merged obs timeline — so a failing soak is diagnosable from
-//! its artifacts, and replayable from its seed.
+//! The report carries per-node [`TransportStats`] and liveness/store
+//! tallies, the delivery matrix, the protocol's
+//! [`RunSummary`](obs::RunSummary), and (with `trace`) the merged obs
+//! timeline — so a failing soak is diagnosable from its artifacts, and
+//! replayable from its seed.
 
 use crate::chaos::parse_spec;
 use crate::harness::{harvest_summary, harvest_timeline, Harness};
@@ -91,6 +92,12 @@ pub struct NodeOutcome {
     pub member: u64,
     /// Final transport counters.
     pub stats: TransportStats,
+    /// Peer transitions into the suspect state.
+    pub peers_suspected: u64,
+    /// Peer transitions into the dead state.
+    pub peers_died: u64,
+    /// Payloads read back from the durable store to serve repairs.
+    pub disk_repairs: u64,
     /// ADUs from other members this node delivered.
     pub delivered: usize,
     /// ADUs from other members this node was supposed to deliver.
@@ -110,7 +117,7 @@ pub struct SoakReport {
     pub elapsed: Duration,
     /// Total ADUs published across the mesh.
     pub adus_sent: usize,
-    /// Run summary (protocol tables + the transport table).
+    /// Run summary (the protocol's per-member table).
     pub summary: obs::RunSummary,
     /// Merged obs timeline, when tracing was on.
     pub timeline: Option<obs::Timeline>,
@@ -182,7 +189,8 @@ impl SoakReport {
         for n in &self.nodes {
             out.push_str(&format!(
                 "  member {}: delivered {}/{} | chdrop {} chdup {} chdelay {} chcorrupt {} \
-                 blackhole {} | sockerr {} respawn {} decerr {} | wheel<= {} delayq<= {} | ping {}\n",
+                 blackhole {} | sockerr {} respawn {} decerr {} | suspect {} dead {} diskrep {} \
+                 | wheel<= {} delayq<= {} | ping {}\n",
                 n.member,
                 n.delivered,
                 n.expected,
@@ -194,6 +202,9 @@ impl SoakReport {
                 n.stats.recv_transient_errors + n.stats.send_errors,
                 n.stats.recv_respawns,
                 n.stats.decode_errors,
+                n.peers_suspected,
+                n.peers_died,
+                n.disk_repairs,
                 n.stats.max_wheel_len,
                 n.stats.max_delayq_len,
                 if n.ping_ok { "ok" } else { "DEAD" },
@@ -304,9 +315,13 @@ pub fn run(opts: &SoakOptions) -> io::Result<SoakReport> {
                 .filter(|a| !delivered[i].contains(a))
                 .copied()
                 .collect();
+            let agent = &agents[i];
             NodeOutcome {
                 member: i as u64 + 1,
                 stats: stats[i],
+                peers_suspected: agent.liveness.suspected_total,
+                peers_died: agent.liveness.died_total,
+                disk_repairs: agent.store().disk_fetches(),
                 delivered: expects[i].len() - missing.len(),
                 expected: expects[i].len(),
                 missing,
@@ -332,6 +347,9 @@ mod tests {
         NodeOutcome {
             member,
             stats: TransportStats::default(),
+            peers_suspected: 0,
+            peers_died: 0,
+            disk_repairs: 0,
             delivered: 4,
             expected: 4,
             missing: Vec::new(),

@@ -54,6 +54,50 @@ fn observe_until(
     }
 }
 
+/// The node's registry is the store of its transport counters: a snapshot
+/// equals `stats()` field by field, under the node's names, with no
+/// `hub.*` name. A periodic session message may land between the two
+/// reads, so an unequal pair is retried; it never passes unequal.
+fn registry_matches_stats(registry: &obs::MetricsRegistry, node: &NodeHandle) {
+    for tries in 0.. {
+        let snap = registry.snapshot();
+        let s = node.stats();
+        let counters = [
+            ("frames.attempted", s.frames_attempted),
+            ("frames.sent", s.frames_sent),
+            ("frames.dropped", s.frames_dropped),
+            ("frames.received", s.frames_received),
+            ("frames.blackholed", s.blackholed),
+            ("frames.send_errors", s.send_errors),
+            ("chaos.dropped", s.chaos_dropped),
+            ("chaos.duplicated", s.chaos_duplicated),
+            ("chaos.delayed", s.chaos_delayed),
+            ("chaos.corrupted", s.chaos_corrupted),
+            ("rx.decode_errors", s.decode_errors),
+            ("rx.unjoined_group", s.rx_unjoined_group),
+            ("inbound.overflow", s.inbound_overflow),
+            ("recv.transient_errors", s.recv_transient_errors),
+            ("recv.respawns", s.recv_respawns),
+            ("recv.deaths", s.recv_deaths),
+            ("mode.fallbacks", s.mode_fallbacks),
+        ];
+        let gauges = [("wheel.high_water", s.max_wheel_len), ("delayq.high_water", s.max_delayq_len)];
+        for (k, _) in counters {
+            assert!(snap.counters.contains_key(k), "node counter {k} missing");
+        }
+        let hub: Vec<&String> = snap.counters.keys().filter(|k| k.starts_with("hub.")).collect();
+        assert!(hub.is_empty(), "hub names on a node: {hub:?}");
+        let equal = counters.iter().all(|&(k, v)| snap.counters[k] == v)
+            && gauges.iter().all(|&(k, v)| snap.gauges.get(k) == Some(&v));
+        if equal {
+            assert_eq!(s.frames_dropped, 2, "both drop-nth rules fired");
+            return;
+        }
+        assert!(tries < 20, "registry never agreed with stats(): {s:?} vs {snap:?}");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
 #[test]
 fn passive_monitor_matches_sender_ground_truth_and_detects_death() {
     // Four pre-bound sockets: three members and the silent monitor.
@@ -169,6 +213,7 @@ fn passive_monitor_matches_sender_ground_truth_and_detects_death() {
     assert_eq!(snap1.counters["rx.decode_errors"], 0);
     assert!(snap1.gauges["wheel.high_water"] >= 1);
     assert!(snap1.hists["stage.handle_s"].count() >= 1);
+    registry_matches_stats(&registry, &nodes[0]);
 
     // Phase 2: member 3 leaves without a word; silence alone must flip it
     // suspect and then dead while the chatty members stay alive.

@@ -141,7 +141,8 @@ cargo build --release -p srm-transport --bin srm-hub
 # receiver that prints whatever it delivers. The whole drive — create,
 # publish, drain, stop — goes through the line-JSON control TCP port.
 timeout 60 ./target/release/srm-hub --bind 127.0.0.1:7641 \
-    --control 127.0.0.1:7642 --shards 2 --quiet &
+    --control 127.0.0.1:7642 --shards 2 --quiet \
+    --stats-file target/ci_hub_stats.jsonl --stats-interval 0.5 &
 HUB_PID=$!
 HUBRX_PIDS=()
 for g in 1 2 3 4; do
@@ -181,6 +182,14 @@ grep -q '"ok":true,"cmd":"stop"' target/ci_hub_ctrl.out \
     || { echo "srm-hub smoke: hub never acked stop" >&2; exit 1; }
 [ "$(grep -c '"ok":false' target/ci_hub_ctrl.out)" -eq 1 ] \
     || { echo "srm-hub smoke: hostile control line did not get exactly one error reply" >&2; exit 1; }
+# The hub's stats file carries its transport counters under the node's
+# names: the digest must see frames sent and session messages sent.
+./target/release/srm-experiments monitor --stats target/ci_hub_stats.jsonl --validate \
+    > target/ci_hub_stats.out
+for c in frames.sent tx.frames.session; do
+    grep -Eq "^  $c: [1-9]" target/ci_hub_stats.out \
+        || { echo "srm-hub smoke: stats digest reads $c as 0" >&2; cat target/ci_hub_stats.out >&2; exit 1; }
+done
 
 echo "== benchmark smoke (each srmbench workload, 1 s traced run, outputs checked) =="
 # srmbench builds itself from source; its last stdout line is the JSON

@@ -20,8 +20,10 @@
 //!    commands and duplicate-group errors.
 //!
 //! Plus the satellite checks that a standalone node counts (rather than
-//! silently eats) well-formed frames for groups it never joined, and that
-//! a hostile control line gets an error reply instead of aborting the hub.
+//! silently eats) well-formed frames for groups it never joined, that a
+//! hostile control line gets an error reply instead of aborting the hub,
+//! and that the hub's registry holds its transport counters under the
+//! node's metric names.
 
 use bytes::Bytes;
 use netsim::GroupId;
@@ -284,6 +286,70 @@ fn eight_concurrent_groups_deliver_independently_under_one_hub() {
         drop(r.shutdown());
     }
     hub.shutdown();
+}
+
+/// The hub's shared transport counters live in its registry, under the
+/// node's names: a snapshot taken without calling `stats()` already agrees
+/// with the next `stats()`, and the shards record the node's per-kind
+/// frame counters and stage histograms into the same registry.
+#[test]
+fn hub_registry_holds_its_transport_counters_under_node_names() {
+    let registry = obs::MetricsRegistry::new();
+    let hub = Hub::spawn(
+        "127.0.0.1:0".parse().unwrap(),
+        HubOptions {
+            shards: 2,
+            metrics: Some(registry.clone()),
+            ..HubOptions::default()
+        },
+    )
+    .unwrap();
+    let receiver = spawn_receiver(2, 1, 2, hub.local_addr());
+    hub.create(spec(1, vec![receiver.local_addr()], 1, 2), false).unwrap();
+    hub.send(1, "registry", 3).unwrap();
+    let got = collect_delivered(&receiver, 3, Instant::now() + Duration::from_secs(10));
+    assert_eq!(got.len(), 3, "the receiver delivers every ADU");
+
+    // Quiescence: the receiver's first session message has reached the
+    // hub. Read through the registry only, never through `stats()`.
+    let counter = |k: &str| registry.snapshot().counters.get(k).copied().unwrap_or(0);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while counter("frames.received") == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    // A periodic session message may land between the snapshot and the
+    // `stats()` call; such a pair is retried, it never passes unequal.
+    let mut tries = 0;
+    let snap = loop {
+        let snap = registry.snapshot();
+        let st = hub.stats();
+        let pairs = [
+            ("frames.sent", st.frames_sent),
+            ("frames.attempted", st.frames_attempted),
+            ("frames.received", st.rx_frames),
+        ];
+        if pairs.iter().all(|&(k, v)| snap.counters.get(k) == Some(&v)) {
+            break snap;
+        }
+        tries += 1;
+        assert!(tries < 20, "registry never agreed with stats(): {pairs:?} vs {:?}", snap.counters);
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert!(snap.counters["frames.sent"] >= 3, "{:?}", snap.counters);
+    assert!(snap.counters["frames.received"] >= 1, "{:?}", snap.counters);
+    let stale: Vec<&String> = snap.counters.keys().filter(|k| k.starts_with("hub.frames_")).collect();
+    assert!(stale.is_empty(), "hub-only copies of node counters: {stale:?}");
+    for k in ["recv.respawns", "recv.deaths", "inbound.overflow", "rx.decode_errors"] {
+        assert_eq!(snap.counters.get(k), Some(&0), "{k}");
+    }
+    assert!(snap.counters["tx.frames.data"] >= 3, "{:?}", snap.counters);
+    assert!(snap.counters["rx.frames.session"] >= 1, "{:?}", snap.counters);
+    for h in ["stage.send_s", "stage.handle_s", "batch.recv_frames"] {
+        assert!(snap.hists[h].count() >= 1, "{h} recorded nothing");
+    }
+    hub.shutdown();
+    drop(receiver.shutdown());
 }
 
 /// The control plane's scripted replies, byte-for-byte against the golden
