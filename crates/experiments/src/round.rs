@@ -80,7 +80,7 @@ pub fn run_round(session: &mut Session, settle_limit: f64) -> RoundResult {
     session.advance(0.01);
     session.source_sends(); // exposes the gap downstream
     session.settle(settle_limit);
-    session.bump_rounds();
+    session.count_round();
 
     let mut requests = 0;
     let mut repairs = 0;

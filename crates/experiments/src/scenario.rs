@@ -318,7 +318,7 @@ impl Session {
         self.rounds_run
     }
 
-    pub(crate) fn bump_rounds(&mut self) {
+    pub(crate) fn count_round(&mut self) {
         self.rounds_run += 1;
     }
 
